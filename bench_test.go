@@ -1,7 +1,7 @@
 package totem_test
 
 // Benchmarks regenerating the paper's evaluation (§8). One benchmark per
-// figure; sub-benchmarks cover each (style, message length) point. The
+// experiment; sub-benchmarks cover each (style, message length) point. The
 // experiments run on the discrete-event simulator in virtual time, so the
 // reported custom metrics (msgs/s, KB/s — virtual) are deterministic; the
 // wall-clock ns/op merely reflects how fast the simulator executes.
@@ -51,19 +51,14 @@ func benchmarkFigure(b *testing.B, nodes int) {
 	}
 }
 
-// BenchmarkFigure6SendRate4Nodes regenerates Figure 6 (msgs/sec, 4 nodes).
+// BenchmarkFigure6SendRate4Nodes regenerates Figures 6 and 8 (4 nodes):
+// the two plot one experiment in different units, vmsgs/s is the Figure 6
+// series and vKB/s the Figure 8 one.
 func BenchmarkFigure6SendRate4Nodes(b *testing.B) { benchmarkFigure(b, 4) }
 
-// BenchmarkFigure7SendRate6Nodes regenerates Figure 7 (msgs/sec, 6 nodes).
+// BenchmarkFigure7SendRate6Nodes regenerates Figures 7 and 9 (6 nodes),
+// likewise.
 func BenchmarkFigure7SendRate6Nodes(b *testing.B) { benchmarkFigure(b, 6) }
-
-// BenchmarkFigure8Bandwidth4Nodes regenerates Figure 8 (KB/s, 4 nodes).
-// Figures 6 and 8 plot the same experiment in different units; the vKB/s
-// metric of these runs is the Figure 8 series.
-func BenchmarkFigure8Bandwidth4Nodes(b *testing.B) { benchmarkFigure(b, 4) }
-
-// BenchmarkFigure9Bandwidth6Nodes regenerates Figure 9 (KB/s, 6 nodes).
-func BenchmarkFigure9Bandwidth6Nodes(b *testing.B) { benchmarkFigure(b, 6) }
 
 // BenchmarkHeadlineUtilization regenerates the §2/§8 claim: >9000 1 KB
 // msgs/sec ≈ 90% of a 100 Mbit/s Ethernet, with no replication.

@@ -255,8 +255,13 @@ func (n *Node) runBulkManager(t *BulkTransfer, payload []byte) {
 	}
 
 	// todo holds window slots claimed from the cursor but not yet handed to
-	// a worker.
+	// a worker. headOut is true while chunk 0 — the chunk receivers open the
+	// transfer on — is with a worker: nothing else is handed out until the
+	// protocol loop has accepted it, or a second worker could get a later
+	// chunk ordered first and every receiver would skip the transfer as one
+	// it joined mid-way, while the sender's own acks reported success.
 	var todo []int
+	headOut := false
 	for {
 		if err := s.Err(); err != nil {
 			finish(err)
@@ -272,17 +277,22 @@ func (n *Node) runBulkManager(t *BulkTransfer, payload []byte) {
 			if !ok {
 				break
 			}
-			todo = append(todo, i)
+			if i == 0 {
+				todo = append([]int{0}, todo...) // a retried head still goes first
+			} else {
+				todo = append(todo, i)
+			}
 		}
 		var workCh chan int
 		var next int
-		if len(todo) > 0 {
+		if len(todo) > 0 && !headOut {
 			workCh = work
 			next = todo[0]
 		}
 		select {
 		case workCh <- next:
 			todo = todo[1:]
+			headOut = next == 0
 		case ev := <-t.evs:
 			switch ev.Kind {
 			case proto.BulkAcked:
@@ -298,6 +308,9 @@ func (n *Node) runBulkManager(t *BulkTransfer, payload []byte) {
 				t.acked.Store(int64(acked))
 			}
 		case res := <-results:
+			if res.idx == 0 {
+				headOut = false
+			}
 			if !res.ok {
 				s.Fail(res.idx) // requeues, or poisons s.Err on budget exhaustion
 			}

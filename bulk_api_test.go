@@ -3,6 +3,7 @@ package totem_test
 import (
 	"bytes"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,5 +221,74 @@ func TestSendBulkSingleton(t *testing.T) {
 	d := collectBulk(t, nodes[0], 1, 10*time.Second)
 	if !bytes.Equal(d.Payload, payload) {
 		t.Fatalf("payload mismatch")
+	}
+}
+
+// TestSendBulkWorkersKeepChunkZeroFirst is the regression test for the
+// submit-worker race: with several workers, chunk 1 could be ordered before
+// chunk 0, every receiver then skipped the transfer as one it had joined
+// mid-way, and the sender still reported success. 200 back-to-back
+// multi-chunk transfers with Workers: 4 must each arrive on every node.
+func TestSendBulkWorkersKeepChunkZeroFirst(t *testing.T) {
+	const (
+		members   = 3
+		transfers = 200
+	)
+	hub := totem.NewMemHub(2)
+	var got [members]atomic.Int64
+	nodes := make([]*totem.Node, members)
+	for i := range nodes {
+		tr, err := hub.Join(totem.NodeID(i + 1))
+		if err != nil {
+			t.Fatalf("Join: %v", err)
+		}
+		n, err := totem.NewNode(totem.Config{
+			ID:          totem.NodeID(i + 1),
+			Networks:    2,
+			Replication: totem.Active,
+			Tune: func(o *totem.Options) {
+				o.Bulk.Workers = 4
+				o.DeliveryTap = func(d totem.Delivery) {
+					if d.Bulk {
+						got[i].Add(1)
+					}
+				}
+			},
+		}, tr)
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
+		}
+		t.Cleanup(func() { n.Close() })
+		go func() {
+			for range n.Deliveries() {
+			}
+		}()
+		nodes[i] = n
+	}
+	waitFullRing(t, nodes, members, 15*time.Second)
+
+	payload := bulkTestPayload(3 * 8192) // three chunks at the default size
+	for x := 0; x < transfers; x++ {
+		xfer, err := nodes[0].SendBulk(payload)
+		if err != nil {
+			t.Fatalf("transfer %d: SendBulk: %v", x, err)
+		}
+		select {
+		case <-xfer.Done():
+		case <-time.After(20 * time.Second):
+			t.Fatalf("transfer %d did not complete", x)
+		}
+		if err := xfer.Err(); err != nil {
+			t.Fatalf("transfer %d failed: %v", x, err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := range got {
+		for got[i].Load() != transfers {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d delivered %d of %d completed transfers", i+1, got[i].Load(), transfers)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Command totembench regenerates the paper's evaluation figures on the
-// discrete-event simulator. See EXPERIMENTS.md for the mapping to the
-// paper's figures.
+// discrete-event simulator, and measures and gates the live figures on
+// real clusters. See EXPERIMENTS.md for the mapping to the paper's figures.
 //
 // Usage:
 //
@@ -12,23 +12,23 @@
 //	totembench -figure all
 //	totembench -json            # hot-path allocation budget + wall-clock
 //	                            # figure data, written to BENCH_hotpath.json
-//	totembench -shards 4        # multi-ring scaling sweep (1 ring vs 4)
-//	                            # with a >=3x aggregate throughput gate
-//	totembench -bulk            # bulk-lane latency sweep: small-message
-//	                            # p99 under a saturating SendBulk stream,
-//	                            # gated against the no-bulk baseline
-//	totembench -logd            # replicated-log append latency sweep:
-//	                            # client-observed p50/p99 on a healthy
-//	                            # 4-node cluster and under torture faults,
-//	                            # gated on a p99 ceiling and 0 duplicates
+//	totembench -live all        # every live figure — wire (UDP drivers at
+//	                            # saturation), shards (1 ring vs 4), bulk
+//	                            # (probe p99 under a SendBulk stream), logd
+//	                            # (append latency, healthy and faulted) —
+//	                            # each measured, gated, and written to its
+//	                            # section of -out
+//	totembench -live bulk,logd -dur 3s
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"github.com/totem-rrp/totem/internal/bench"
@@ -37,214 +37,86 @@ import (
 func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate: 6, 7, 8, 9, headline, sawtooth, ap, ablations, all")
 	csvDir := flag.String("csv", "", "also write the sweep data as CSV files into this directory")
-	jsonOut := flag.Bool("json", false, "run the hot-path benchmark suite and write it as JSON (skips -figure)")
-	outPath := flag.String("out", "BENCH_hotpath.json", "output path for -json")
-	liveRun := flag.Bool("live", false, "also run the live Figure 6 analog (4 nodes on loopback UDP, portable vs batched wire path) and gate on it")
-	liveDur := flag.Duration("live-dur", 2*time.Second, "live: measured window per wire path")
-	liveLen := flag.Int("live-len", 100, "live: payload bytes")
-	liveFloor := flag.Float64("live-floor", 0, "live gate: minimum batched-driver msgs/sec (0 disables the absolute floor)")
-	liveMsgsGain := flag.Float64("live-msgs-gain", 2.0, "live gate: required batch/portable msgs-per-sec ratio (ORed with -live-syscall-gain)")
-	liveSyscallGain := flag.Float64("live-syscall-gain", 2.0, "live gate: required portable/batch syscalls-per-message ratio (ORed with -live-msgs-gain)")
-	shards := flag.Int("shards", 0, "also run the multi-ring sharding sweep at this ring count vs a single-ring baseline, and gate on it (0 disables)")
-	shardDur := flag.Duration("shards-dur", time.Second, "shards: measured window per point")
-	shardLen := flag.Int("shards-len", 100, "shards: payload bytes")
-	shardGain := flag.Float64("shards-gain", 3.0, "shards gate: required M-ring/1-ring aggregate msgs-per-sec ratio")
-	bulkRun := flag.Bool("bulk", false, "also run the bulk-lane latency sweep (small-message p99 under a saturating SendBulk stream vs idle) and gate on it")
-	bulkDur := flag.Duration("bulk-dur", 2*time.Second, "bulk: measured window per mode")
-	bulkBytes := flag.Int("bulk-bytes", 4<<20, "bulk: size of each streamed transfer")
-	bulkLen := flag.Int("bulk-len", 64, "bulk: probe payload bytes")
-	bulkBound := flag.Float64("bulk-bound", 5.0, "bulk gate: max allowed p99 ratio of bulk-lane mode over the no-bulk baseline")
-	logdRun := flag.Bool("logd", false, "also run the replicated-log sweep (client-observed append p50/p99, healthy and under torture faults) and gate on it")
-	logdDur := flag.Duration("logd-dur", 2*time.Second, "logd: measured window for the healthy point (the faulted point doubles it)")
-	logdClients := flag.Int("logd-clients", 8, "logd: concurrent writer count")
-	logdLen := flag.Int("logd-len", 128, "logd: record payload bytes")
-	logdCeiling := flag.Float64("logd-p99-ms", 250, "logd gate: max allowed healthy-point p99 in milliseconds")
+	jsonOut := flag.Bool("json", false, "run the hot-path benchmark suite and write it to -out (skips -figure)")
+	outPath := flag.String("out", "BENCH_hotpath.json", "report file for -json and -live; sections not measured are kept")
+	liveSel := flag.String("live", "", "live figures to measure and gate: wire, shards, bulk, logd, a comma list, or all (skips -figure)")
+	dur := flag.Duration("dur", 2*time.Second, "live: measured window per scenario")
 	flag.Parse()
-	if *jsonOut || *liveRun || *shards > 0 || *bulkRun || *logdRun {
-		cfg := liveConfig{
-			run:         *liveRun,
-			dur:         *liveDur,
-			msgLen:      *liveLen,
-			floor:       *liveFloor,
-			msgsGain:    *liveMsgsGain,
-			syscallGain: *liveSyscallGain,
-		}
-		scfg := shardConfig{
-			shards: *shards,
-			dur:    *shardDur,
-			msgLen: *shardLen,
-			gain:   *shardGain,
-		}
-		bcfg := bulkConfig{
-			run:      *bulkRun,
-			dur:      *bulkDur,
-			xferLen:  *bulkBytes,
-			probeLen: *bulkLen,
-			bound:    *bulkBound,
-		}
-		lcfg := logdConfig{
-			run:       *logdRun,
-			dur:       *logdDur,
-			clients:   *logdClients,
-			msgLen:    *logdLen,
-			ceilingMs: *logdCeiling,
-		}
-		if err := runHotPath(*outPath, *jsonOut, cfg, scfg, bcfg, lcfg); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	if *jsonOut || *liveSel != "" {
+		err = runHotPath(*outPath, *jsonOut, *liveSel, *dur)
+	} else {
+		err = run(*figure, *csvDir)
 	}
-	if err := run(*figure, *csvDir); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-type liveConfig struct {
-	run         bool
-	dur         time.Duration
-	msgLen      int
-	floor       float64
-	msgsGain    float64
-	syscallGain float64
-}
-
-type shardConfig struct {
-	shards int
-	dur    time.Duration
-	msgLen int
-	gain   float64
-}
-
-type bulkConfig struct {
-	run      bool
-	dur      time.Duration
-	xferLen  int
-	probeLen int
-	bound    float64
-}
-
-type logdConfig struct {
-	run       bool
-	dur       time.Duration
-	clients   int
-	msgLen    int
-	ceilingMs float64
-}
-
-// runHotPath regenerates the allocation-budget report (micro allocs/op
-// plus wall-clock Figure 6 points) and saves it for EXPERIMENTS.md. With
-// live.run it appends the live wire sweep and enforces the wire-path
-// gate: the batched driver must beat the portable one by the configured
-// throughput or syscall margin. With shard.shards > 0 it appends the
-// multi-ring sweep and enforces the sharding gate; with bulk.run it
-// appends the bulk-lane latency sweep and enforces the p99 bound; with
-// logd.run it appends the replicated-log sweep and enforces its p99
-// ceiling and zero-duplicates invariant. Sweeps run without -json merge
-// into an existing report file rather than clobbering it.
-func runHotPath(path string, writeJSON bool, live liveConfig, shard shardConfig, bulk bulkConfig, logd logdConfig) error {
-	var rep bench.HotPathReport
-	var err error
-	if writeJSON {
-		rep, err = bench.HotPath()
-		if err != nil {
-			return err
-		}
-	} else {
-		// Keep the simulated sections from the last full run so a
-		// sweep-only invocation updates its own section in place.
-		if prev, err := os.ReadFile(path); err == nil {
-			if err := json.Unmarshal(prev, &rep); err != nil {
-				return fmt.Errorf("existing %s: %w", path, err)
+// runHotPath updates the report at path: with micro, the allocation budget
+// and the wall-clock Figure 6 points; for each live figure selected, its
+// section. Whatever it does not measure it keeps from the existing file.
+// Every gate of every figure measured is judged after the report is
+// written; any failure is the command's.
+func runHotPath(path string, micro bool, liveSel string, dur time.Duration) error {
+	var figures []bench.LiveFigure
+	for _, name := range strings.Split(liveSel, ",") {
+		found := name == ""
+		for _, f := range bench.LiveFigures {
+			if name == "all" || name == f.Name {
+				figures = append(figures, f)
+				found = true
 			}
 		}
-		// Shard, bulk, and logd sweeps always persist their section;
-		// -live alone keeps its historical print-and-gate-only behaviour.
-		writeJSON = shard.shards > 0 || bulk.run || logd.run
+		if !found {
+			return fmt.Errorf("unknown live figure %q", name)
+		}
 	}
-	if live.run {
-		points, err := bench.LiveWire(bench.LiveWireOptions{
-			Duration: live.dur,
-			MsgLen:   live.msgLen,
-		})
+
+	var rep bench.HotPathReport
+	if prev, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(prev, &rep); err != nil {
+			return fmt.Errorf("existing %s: %w", path, err)
+		}
+	}
+	if micro {
+		fresh, err := bench.HotPath()
 		if err != nil {
 			return err
 		}
-		rep.LiveWire = points
+		rep.Micro, rep.Figure6 = fresh.Micro, fresh.Figure6
+		bench.PrintHotPath(os.Stdout, fresh)
 	}
-	if shard.shards > 0 {
-		points, err := bench.ShardScale(bench.ShardScaleOptions{
-			Shards:   shard.shards,
-			Duration: shard.dur,
-			MsgLen:   shard.msgLen,
-		})
+	for _, f := range figures {
+		points, err := bench.RunLive(f, dur)
 		if err != nil {
 			return err
 		}
-		rep.ShardScale = points
+		*rep.Section(f.Key) = points
+		bench.PrintPoints(os.Stdout, f.Title, f.Columns, points)
 	}
-	if bulk.run {
-		points, err := bench.BulkSweep(bench.BulkOptions{
-			Duration:      bulk.dur,
-			TransferBytes: bulk.xferLen,
-			MsgLen:        bulk.probeLen,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Bulk = points
+	out, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	if logd.run {
-		points, err := bench.LogdSweep(bench.LogdOptions{
-			Duration:     logd.dur,
-			Clients:      logd.clients,
-			PayloadBytes: logd.msgLen,
-		})
-		if err != nil {
-			return err
-		}
-		rep.Logd = points
+	if err := errors.Join(bench.WriteHotPathJSON(out, rep), out.Close()); err != nil {
+		return err
 	}
-	bench.PrintHotPath(os.Stdout, rep)
-	if writeJSON {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteHotPathJSON(f, rep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", path)
-	}
-	if live.run {
-		verdict, ok := bench.LiveWireGate(rep.LiveWire, live.msgsGain, live.syscallGain, live.floor)
-		fmt.Println(verdict)
-		if !ok {
-			return fmt.Errorf("live wire-path gate failed")
+	fmt.Printf("wrote %s\n", path)
+
+	failed := 0
+	for _, f := range figures {
+		for _, g := range f.Gates {
+			verdict, ok := g.Check(*rep.Section(f.Key))
+			fmt.Println(verdict)
+			if !ok {
+				failed++
+			}
 		}
 	}
-	if shard.shards > 0 {
-		verdict, ok := bench.ShardGate(rep.ShardScale, shard.gain)
-		fmt.Println(verdict)
-		if !ok {
-			return fmt.Errorf("sharding gate failed")
-		}
-	}
-	if bulk.run {
-		verdict, ok := bench.BulkGate(rep.Bulk, bulk.bound)
-		fmt.Println(verdict)
-		if !ok {
-			return fmt.Errorf("bulk lane gate failed")
-		}
-	}
-	if logd.run {
-		verdict, ok := bench.LogdGate(rep.Logd, logd.ceilingMs)
-		fmt.Println(verdict)
-		if !ok {
-			return fmt.Errorf("logd gate failed")
-		}
+	if failed > 0 {
+		return fmt.Errorf("%d live gate(s) failed", failed)
 	}
 	return nil
 }

@@ -41,18 +41,33 @@ type HotPathPoint struct {
 	WallMsgsPerSec    float64 `json:"wall_msgs_per_sec"`
 }
 
-// HotPathReport is the payload of BENCH_hotpath.json. LiveWire is filled
-// only by `totembench -json -live`, ShardScale only by
-// `totembench -json -shards M`, Bulk only by `totembench -bulk`, Logd
-// only by `totembench -logd`: the simulated figures are cheap and
-// deterministic, the live sweeps cost real wall-clock seconds.
+// HotPathReport is the payload of BENCH_hotpath.json. The four live
+// sections are filled only by `totembench -live`, one per LiveFigure: the
+// simulated figures are cheap and deterministic, the live ones cost real
+// wall-clock seconds.
 type HotPathReport struct {
-	Micro      []HotPathMicro         `json:"micro"`
-	Figure6    []HotPathPoint         `json:"figure6_4nodes"`
-	LiveWire   []live.WireBenchPoint  `json:"figure6_live,omitempty"`
-	ShardScale []live.ShardBenchPoint `json:"figure6_shards,omitempty"`
-	Bulk       []live.BulkBenchPoint  `json:"figure_bulk,omitempty"`
-	Logd       []live.LogdBenchPoint  `json:"figure_logd,omitempty"`
+	Micro      []HotPathMicro `json:"micro"`
+	Figure6    []HotPathPoint `json:"figure6_4nodes"`
+	LiveWire   []live.Point   `json:"figure6_live,omitempty"`
+	ShardScale []live.Point   `json:"figure6_shards,omitempty"`
+	Bulk       []live.Point   `json:"figure_bulk,omitempty"`
+	Logd       []live.Point   `json:"figure_logd,omitempty"`
+}
+
+// Section returns the report's slot for the live figure stored under key,
+// nil for an unknown key.
+func (r *HotPathReport) Section(key string) *[]live.Point {
+	switch key {
+	case "figure6_live":
+		return &r.LiveWire
+	case "figure6_shards":
+		return &r.ShardScale
+	case "figure_bulk":
+		return &r.Bulk
+	case "figure_logd":
+		return &r.Logd
+	}
+	return nil
 }
 
 // HotPathMicros measures the allocation budget of the steady-state packet
@@ -193,7 +208,8 @@ func WriteHotPathJSON(w io.Writer, rep HotPathReport) error {
 }
 
 // PrintHotPath renders the report for the terminal; empty sections (a
-// -live-only run carries no micro or simulated points) are skipped.
+// -live-only run of a fresh file carries no micro or simulated points)
+// are skipped.
 func PrintHotPath(w io.Writer, rep HotPathReport) {
 	if len(rep.Micro) > 0 {
 		fmt.Fprintln(w, "hot path allocation budget (steady-state packet path)")
@@ -202,37 +218,17 @@ func PrintHotPath(w io.Writer, rep HotPathReport) {
 				m.Name, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
 		}
 	}
-	if len(rep.Figure6) == 0 {
-		if len(rep.LiveWire) > 0 {
-			PrintLiveWire(w, rep.LiveWire)
+	if len(rep.Figure6) > 0 {
+		fmt.Fprintln(w, "figure 6 (4 nodes, no replication), wall clock")
+		fmt.Fprintf(w, "  %-8s %12s %14s %14s %12s\n", "len(B)", "wall ms", "vmsgs/s", "wall msgs/s", "allocs")
+		for _, p := range rep.Figure6 {
+			fmt.Fprintf(w, "  %-8d %12.1f %14.0f %14.0f %12d\n",
+				p.MsgLen, float64(p.WallNs)/1e6, p.VirtualMsgsPerSec, p.WallMsgsPerSec, p.Allocs)
 		}
-		if len(rep.ShardScale) > 0 {
-			PrintShardScale(w, rep.ShardScale)
+	}
+	for _, f := range LiveFigures {
+		if points := *rep.Section(f.Key); len(points) > 0 {
+			PrintPoints(w, f.Title, f.Columns, points)
 		}
-		if len(rep.Bulk) > 0 {
-			PrintBulk(w, rep.Bulk)
-		}
-		if len(rep.Logd) > 0 {
-			PrintLogd(w, rep.Logd)
-		}
-		return
-	}
-	fmt.Fprintln(w, "figure 6 (4 nodes, no replication), wall clock")
-	fmt.Fprintf(w, "  %-8s %12s %14s %14s %12s\n", "len(B)", "wall ms", "vmsgs/s", "wall msgs/s", "allocs")
-	for _, p := range rep.Figure6 {
-		fmt.Fprintf(w, "  %-8d %12.1f %14.0f %14.0f %12d\n",
-			p.MsgLen, float64(p.WallNs)/1e6, p.VirtualMsgsPerSec, p.WallMsgsPerSec, p.Allocs)
-	}
-	if len(rep.LiveWire) > 0 {
-		PrintLiveWire(w, rep.LiveWire)
-	}
-	if len(rep.ShardScale) > 0 {
-		PrintShardScale(w, rep.ShardScale)
-	}
-	if len(rep.Bulk) > 0 {
-		PrintBulk(w, rep.Bulk)
-	}
-	if len(rep.Logd) > 0 {
-		PrintLogd(w, rep.Logd)
 	}
 }

@@ -103,8 +103,7 @@ type liveNode struct {
 
 	mu      sync.Mutex
 	n       *totem.Node
-	imp     *Impaired
-	udp     *transport.UDPTransport // nil on the mem transport
+	tr      transport.Transport // what n runs on; replaced with it
 	crashed bool
 	// epoch is the highest ring epoch observed before the last crash; the
 	// next incarnation carries it forward (Totem's stable-storage ring
@@ -124,8 +123,7 @@ type harness struct {
 	ring   *trace.Ring
 	epoch  time.Time
 
-	hub   *transport.MemHub         // mem transport only
-	addrs map[proto.NodeID][]string // udp transport only: current listen addrs
+	fab   *fabric
 	nodes map[proto.NodeID]*liveNode
 	order []proto.NodeID
 	skew  map[proto.NodeID]float64 // per-node clock rate; nil = all 1.0
@@ -151,9 +149,6 @@ func Execute(p torture.Program, opt Options) (*torture.Result, error) {
 	if opt.Transport == "" {
 		opt.Transport = "mem"
 	}
-	if opt.Transport != "mem" && opt.Transport != "udp" {
-		return nil, fmt.Errorf("live: unknown transport %q", opt.Transport)
-	}
 	if opt.TimeScale <= 0 {
 		opt.TimeScale = 0.3
 	}
@@ -176,7 +171,6 @@ func Execute(p torture.Program, opt Options) (*torture.Result, error) {
 		scale: opt.TimeScale,
 		nm:    NewNetem(p.Networks, np),
 		ring:  trace.NewRing(traceCap),
-		addrs: make(map[proto.NodeID][]string),
 		nodes: make(map[proto.NodeID]*liveNode),
 	}
 	// The live monitor bound uses the default conviction thresholds, same
@@ -195,18 +189,20 @@ func Execute(p torture.Program, opt Options) (*torture.Result, error) {
 		}
 	}
 	h.tracer = trace.Multi{h.ch, h.ring}
-	if opt.Transport == "mem" {
-		h.hub = transport.NewMemHub(p.Networks)
+	h.fab, err = newFabric(opt.Transport, p.Nodes, p.Networks, opt.WirePath, h.nm)
+	if err != nil {
+		return nil, err
 	}
-	for i := 1; i <= p.Nodes; i++ {
-		id := proto.NodeID(i)
-		h.order = append(h.order, id)
+	defer h.fab.close()
+	h.order = h.fab.order
+	for _, id := range h.order {
 		h.nodes[id] = &liveNode{id: id}
 	}
-
-	if err := h.boot(); err != nil {
-		h.teardown()
-		return nil, err
+	for _, id := range h.order {
+		if err := h.startNode(h.nodes[id]); err != nil {
+			h.teardown()
+			return nil, err
+		}
 	}
 	h.epoch = time.Now()
 	h.ch.SetNow(func() proto.Time { return proto.Time(time.Since(h.epoch)) })
@@ -258,77 +254,13 @@ func Execute(p torture.Program, opt Options) (*torture.Result, error) {
 	return res, nil
 }
 
-// peersOf lists every node except id, for partition-time broadcast
-// expansion.
-func (h *harness) peersOf(id proto.NodeID) []proto.NodeID {
-	out := make([]proto.NodeID, 0, len(h.order)-1)
-	for _, p := range h.order {
-		if p != id {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// boot brings up every node's transport and protocol stack. UDP sockets
-// are all opened (on 127.0.0.1:0) before any peer wiring so each node
-// learns every other node's real bound ports.
-func (h *harness) boot() error {
-	if h.opt.Transport == "udp" {
-		for _, id := range h.order {
-			t, err := h.newUDP(id)
-			if err != nil {
-				return err
-			}
-			h.nodes[id].udp = t
-			h.addrs[id] = t.LocalAddrs()
-		}
-		for _, id := range h.order {
-			for _, peer := range h.order {
-				if peer == id {
-					continue
-				}
-				if err := h.nodes[id].udp.AddPeer(peer, h.addrs[peer]); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	for _, id := range h.order {
-		if err := h.startNode(h.nodes[id]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (h *harness) newUDP(id proto.NodeID) (*transport.UDPTransport, error) {
-	listen := make([]string, h.p.Networks)
-	for i := range listen {
-		listen[i] = "127.0.0.1:0"
-	}
-	return transport.NewUDP(transport.UDPConfig{
-		ID:       id,
-		Listen:   listen,
-		WirePath: h.opt.WirePath,
-	})
-}
-
-// startNode wraps the slot's inner transport in the impairment layer and
-// boots a totem.Node on it. The slot's udp field (or the mem hub) must be
-// ready; epoch carries the pre-crash ring epoch into the new incarnation.
+// startNode boots a totem.Node on the slot's impaired end of the fabric;
+// epoch carries the pre-crash ring epoch into the new incarnation.
 func (h *harness) startNode(ln *liveNode) error {
-	var inner transport.Transport
-	if h.opt.Transport == "mem" {
-		t, err := h.hub.Join(ln.id)
-		if err != nil {
-			return err
-		}
-		inner = t
-	} else {
-		inner = ln.udp
+	tr, err := h.fab.attach(ln.id)
+	if err != nil {
+		return err
 	}
-	imp := Impair(inner, ln.id, h.peersOf(ln.id), h.nm)
 	id := ln.id
 	cfg := totem.Config{
 		ID:          id,
@@ -350,13 +282,13 @@ func (h *harness) startNode(ln *liveNode) error {
 			}
 		},
 	}
-	n, err := totem.NewNode(cfg, imp)
+	n, err := totem.NewNode(cfg, tr)
 	if err != nil {
-		imp.Close()
+		tr.Close()
 		return fmt.Errorf("live: node %v: %w", id, err)
 	}
 	ln.mu.Lock()
-	ln.n, ln.imp, ln.crashed = n, imp, false
+	ln.n, ln.tr, ln.crashed = n, tr, false
 	ln.mu.Unlock()
 	return nil
 }
@@ -371,21 +303,20 @@ func (h *harness) crash(id proto.NodeID) {
 		ln.mu.Unlock()
 		return
 	}
-	n, imp := ln.n, ln.imp
+	n, tr := ln.n, ln.tr
 	ln.crashed = true
-	ln.n, ln.imp = nil, nil
+	ln.n, ln.tr = nil, nil
 	ln.mu.Unlock()
 	h.ch.NoteCrash(id)
 	if e := n.MaxEpoch(); e > ln.epoch {
 		ln.epoch = e
 	}
 	n.Close()
-	imp.Close()
+	tr.Close()
 }
 
-// restart reboots a crashed node on a fresh transport. On UDP the new
-// sockets bind new ports, so every other node's peer table is updated —
-// the live analogue of a machine rebooting with a new DHCP lease.
+// restart reboots a crashed node on a fresh transport (on UDP: new ports,
+// every other node's peer table updated).
 func (h *harness) restart(id proto.NodeID) {
 	if h.stopped.Load() {
 		return
@@ -397,25 +328,8 @@ func (h *harness) restart(id proto.NodeID) {
 	if !crashed {
 		return
 	}
-	if h.opt.Transport == "udp" {
-		t, err := h.newUDP(id)
-		if err != nil {
-			return
-		}
-		ln.udp = t
-		h.addrs[id] = t.LocalAddrs()
-		for _, peer := range h.order {
-			if peer == id {
-				continue
-			}
-			t.AddPeer(peer, h.addrs[peer]) //nolint:errcheck
-			pn := h.nodes[peer]
-			pn.mu.Lock()
-			if !pn.crashed && pn.udp != nil {
-				pn.udp.AddPeer(id, h.addrs[id]) //nolint:errcheck
-			}
-			pn.mu.Unlock()
-		}
+	if err := h.fab.reopen(id); err != nil {
+		return
 	}
 	h.startNode(ln) //nolint:errcheck
 }
@@ -597,14 +511,14 @@ func (h *harness) teardown() {
 	for _, id := range h.order {
 		ln := h.nodes[id]
 		ln.mu.Lock()
-		n, imp := ln.n, ln.imp
-		ln.n, ln.imp = nil, nil
+		n, tr := ln.n, ln.tr
+		ln.n, ln.tr = nil, nil
 		ln.mu.Unlock()
 		if n != nil {
 			n.Close()
 		}
-		if imp != nil {
-			imp.Close()
+		if tr != nil {
+			tr.Close()
 		}
 	}
 }

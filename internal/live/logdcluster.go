@@ -25,13 +25,11 @@ import (
 // InitialEpoch — the stable-storage half of the live harness's
 // epoch-carry restart.
 type LogdCluster struct {
-	opt LogdClusterOptions
-	nm  *Netem
-	hub *transport.MemHub
-
-	mu      sync.Mutex
+	opt     LogdClusterOptions
+	tune    func(*totem.Options)
+	nm      *Netem
+	fab     *fabric
 	members []*logdMember
-	addrs   map[proto.NodeID][]string // udp transport: current ring listen addrs
 }
 
 // LogdClusterOptions sizes a cluster. Dir is required.
@@ -62,19 +60,25 @@ type logdMember struct {
 	dir string
 
 	mu      sync.Mutex
-	udp     *transport.UDPTransport
-	imp     *Impaired
+	tr      transport.Transport
 	node    *totem.Node
 	store   *logd.Store
 	srv     *logd.Server
-	hs      *http.Server
-	addr    string // stable host:port of the HTTP front door
+	handler http.Handler // srv's; nil while the member is down
+	hs      *http.Server // the front door, open from reservation to Kill
+	addr    string       // stable host:port of the front door
 	crashed bool
 }
 
-// NewLogdCluster boots the cluster and waits for every member to go
-// live.
+// NewLogdCluster boots the cluster on the torture timers (liveTune); call
+// WaitLive before using it.
 func NewLogdCluster(opt LogdClusterOptions) (*LogdCluster, error) {
+	return newLogdCluster(opt, liveTune)
+}
+
+// newLogdCluster is NewLogdCluster with the ring's protocol timers chosen
+// by the caller.
+func newLogdCluster(opt LogdClusterOptions, tune func(*totem.Options)) (*LogdCluster, error) {
 	if opt.Nodes <= 0 {
 		opt.Nodes = 4
 	}
@@ -103,51 +107,24 @@ func NewLogdCluster(opt LogdClusterOptions) (*LogdCluster, error) {
 		opt.Logf = func(string, ...any) {}
 	}
 
-	c := &LogdCluster{
-		opt:   opt,
-		nm:    NewNetem(opt.Networks, opt.Netem),
-		addrs: make(map[proto.NodeID][]string),
+	c := &LogdCluster{opt: opt, tune: tune, nm: NewNetem(opt.Networks, opt.Netem)}
+	fab, err := newFabric(opt.Transport, opt.Nodes, opt.Networks, "", c.nm)
+	if err != nil {
+		return nil, err
 	}
-	if opt.Transport == "mem" {
-		c.hub = transport.NewMemHub(opt.Networks)
-	}
-	for i := 1; i <= opt.Nodes; i++ {
-		m := &logdMember{id: proto.NodeID(i), dir: filepath.Join(opt.Dir, fmt.Sprintf("node-%d", i))}
+	c.fab = fab
+	for _, id := range fab.order {
+		m := &logdMember{id: id, dir: filepath.Join(opt.Dir, fmt.Sprintf("node-%d", id))}
+		c.members = append(c.members, m)
 		if err := os.MkdirAll(m.dir, 0o755); err != nil {
 			c.Close()
 			return nil, err
 		}
-		// Reserve the member's stable HTTP address up front so every
-		// member can be told its peers' endpoints before any boots.
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+		// Open every front door up front, so that each member can be told
+		// its peers' endpoints before any boots.
+		if err := m.openDoor(); err != nil {
 			c.Close()
 			return nil, err
-		}
-		m.addr = ln.Addr().String()
-		ln.Close()
-		c.members = append(c.members, m)
-	}
-	if opt.Transport == "udp" {
-		for _, m := range c.members {
-			t, err := c.newUDP(m.id)
-			if err != nil {
-				c.Close()
-				return nil, err
-			}
-			m.udp = t
-			c.addrs[m.id] = t.LocalAddrs()
-		}
-		for _, m := range c.members {
-			for _, peer := range c.members {
-				if peer.id == m.id {
-					continue
-				}
-				if err := m.udp.AddPeer(peer.id, c.addrs[peer.id]); err != nil {
-					c.Close()
-					return nil, err
-				}
-			}
 		}
 	}
 	for _, m := range c.members {
@@ -157,24 +134,6 @@ func NewLogdCluster(opt LogdClusterOptions) (*LogdCluster, error) {
 		}
 	}
 	return c, nil
-}
-
-func (c *LogdCluster) newUDP(id proto.NodeID) (*transport.UDPTransport, error) {
-	listen := make([]string, c.opt.Networks)
-	for i := range listen {
-		listen[i] = "127.0.0.1:0"
-	}
-	return transport.NewUDP(transport.UDPConfig{ID: id, Listen: listen})
-}
-
-func (c *LogdCluster) peersOf(id proto.NodeID) []proto.NodeID {
-	out := make([]proto.NodeID, 0, len(c.members)-1)
-	for _, m := range c.members {
-		if m.id != id {
-			out = append(out, m.id)
-		}
-	}
-	return out
 }
 
 // peerURLs lists every member's front door except id's.
@@ -194,32 +153,25 @@ func (c *LogdCluster) startMember(m *logdMember) error {
 	if err != nil {
 		return fmt.Errorf("logdcluster: node %v store: %w", m.id, err)
 	}
-	var inner transport.Transport
-	if c.opt.Transport == "mem" {
-		t, err := c.hub.Join(m.id)
-		if err != nil {
-			store.Close()
-			return err
-		}
-		inner = t
-	} else {
-		inner = m.udp
+	tr, err := c.fab.attach(m.id)
+	if err != nil {
+		store.Close()
+		return err
 	}
-	imp := Impair(inner, m.id, c.peersOf(m.id), c.nm)
 	epoch := store.Epoch() // persisted across kill -9 by the meta file
 	node, err := totem.NewNode(totem.Config{
 		ID:          m.id,
 		Networks:    c.opt.Networks,
 		Replication: proto.ReplicationPassive,
 		Tune: func(o *totem.Options) {
-			liveTune(o)
+			c.tune(o)
 			if epoch > o.SRP.InitialEpoch {
 				o.SRP.InitialEpoch = epoch
 			}
 		},
-	}, imp)
+	}, tr)
 	if err != nil {
-		imp.Close()
+		tr.Close()
 		store.Close()
 		return fmt.Errorf("logdcluster: node %v: %w", m.id, err)
 	}
@@ -231,33 +183,53 @@ func (c *LogdCluster) startMember(m *logdMember) error {
 	srv, err := logd.NewServer(node, store, sopt)
 	if err != nil {
 		node.Close()
-		imp.Close()
+		tr.Close()
 		store.Close()
 		return err
 	}
-	// Re-listen on the member's stable port so clients' endpoint lists
-	// survive the restart. The previous listener was closed by Kill, but
-	// give the kernel a beat to release it.
+	m.mu.Lock()
+	m.tr, m.node, m.store, m.srv, m.handler, m.crashed = tr, node, store, srv, srv.Handler(), false
+	m.mu.Unlock()
+	return nil
+}
+
+// openDoor binds the member's HTTP front door and serves on it at once: at
+// boot on an ephemeral port, which becomes the member's stable address, on
+// restart on that same port so that clients' endpoint lists survive. The
+// port is never released in between — closed after reservation it was free
+// for the cluster's own outgoing connections to take. While the member has
+// no server behind it the door hangs up on every request, which is what
+// "connection refused" told a peer polling a member that had not booted.
+func (m *logdMember) openDoor() error {
+	addr := m.addr
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
 	var ln net.Listener
 	for attempt := 0; ; attempt++ {
-		ln, err = net.Listen("tcp", m.addr)
-		if err == nil {
+		var err error
+		if ln, err = net.Listen("tcp", addr); err == nil {
 			break
 		}
+		// Kill closed the previous listener; give the kernel a beat to
+		// release it.
 		if attempt > 100 {
-			srv.Close()
-			node.Close()
-			imp.Close()
-			store.Close()
-			return fmt.Errorf("logdcluster: rebinding %s: %w", m.addr, err)
+			return fmt.Errorf("logdcluster: binding %s: %w", addr, err)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		m.mu.Lock()
+		h := m.handler
+		m.mu.Unlock()
+		if h == nil {
+			panic(http.ErrAbortHandler)
+		}
+		h.ServeHTTP(w, r)
+	})}
 	go hs.Serve(ln) //nolint:errcheck
-
 	m.mu.Lock()
-	m.imp, m.node, m.store, m.srv, m.hs, m.crashed = imp, node, store, srv, hs, false
+	m.addr, m.hs = ln.Addr().String(), hs
 	m.mu.Unlock()
 	return nil
 }
@@ -298,15 +270,15 @@ func (c *LogdCluster) Server(i int) *logd.Server {
 // ring node dies without a goodbye, and the store is abandoned with no
 // final snapshot or sync — recovery gets only what Apply already fsynced
 // plus the meta file's epoch.
-func (c *LogdCluster) Kill(i int) {
-	m := c.members[i]
+func (c *LogdCluster) Kill(i int) { c.members[i].halt(true) }
+
+// halt tears the member's stack down, front door first; idempotent. kill
+// abandons the store as kill -9 would, otherwise it closes gracefully
+// (final snapshot).
+func (m *logdMember) halt(kill bool) {
 	m.mu.Lock()
-	if m.crashed {
-		m.mu.Unlock()
-		return
-	}
-	imp, node, store, srv, hs := m.imp, m.node, m.store, m.srv, m.hs
-	m.imp, m.node, m.store, m.srv, m.hs = nil, nil, nil, nil, nil
+	tr, node, store, srv, hs := m.tr, m.node, m.store, m.srv, m.hs
+	m.tr, m.node, m.store, m.srv, m.handler, m.hs = nil, nil, nil, nil, nil, nil
 	m.crashed = true
 	m.mu.Unlock()
 	if hs != nil {
@@ -318,11 +290,13 @@ func (c *LogdCluster) Kill(i int) {
 	if node != nil {
 		node.Close()
 	}
-	if imp != nil {
-		imp.Close()
+	if tr != nil {
+		tr.Close()
 	}
-	if store != nil {
+	if store != nil && kill {
 		store.Kill()
+	} else if store != nil {
+		store.Close()
 	}
 }
 
@@ -332,31 +306,18 @@ func (c *LogdCluster) Kill(i int) {
 func (c *LogdCluster) Restart(i int) error {
 	m := c.members[i]
 	m.mu.Lock()
-	crashed := m.crashed
+	crashed, open := m.crashed, m.hs != nil
 	m.mu.Unlock()
 	if !crashed {
 		return nil
 	}
-	if c.opt.Transport == "udp" {
-		t, err := c.newUDP(m.id)
-		if err != nil {
+	if !open { // still open if an earlier Restart failed past this point
+		if err := m.openDoor(); err != nil {
 			return err
 		}
-		m.udp = t
-		c.mu.Lock()
-		c.addrs[m.id] = t.LocalAddrs()
-		c.mu.Unlock()
-		for _, peer := range c.members {
-			if peer.id == m.id {
-				continue
-			}
-			t.AddPeer(peer.id, c.addrs[peer.id]) //nolint:errcheck
-			peer.mu.Lock()
-			if !peer.crashed && peer.udp != nil {
-				peer.udp.AddPeer(m.id, c.addrs[m.id]) //nolint:errcheck
-			}
-			peer.mu.Unlock()
-		}
+	}
+	if err := c.fab.reopen(m.id); err != nil {
+		return err
 	}
 	return c.startMember(m)
 }
@@ -366,8 +327,8 @@ func (c *LogdCluster) Restart(i int) error {
 func (c *LogdCluster) WaitLive(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
-		want := c.liveCount()
-		ready := 0
+		var nodes []*totem.Node
+		live := 0
 		for _, m := range c.members {
 			m.mu.Lock()
 			node, srv, crashed := m.node, m.srv, m.crashed
@@ -375,33 +336,21 @@ func (c *LogdCluster) WaitLive(timeout time.Duration) error {
 			if crashed || node == nil || srv == nil {
 				continue
 			}
-			if !srv.Live() || !node.Operational() {
-				continue
-			}
-			if _, members := node.Ring(); len(members) == want {
-				ready++
+			nodes = append(nodes, node)
+			if srv.Live() {
+				live++
 			}
 		}
-		if want > 0 && ready == want {
+		late := notJoined(nodes, 1)
+		if len(nodes) > 0 && live == len(nodes) && len(late) == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("logdcluster: not live after %s (%d/%d ready)", timeout, ready, want)
+			return fmt.Errorf("logdcluster: not live after %s (%d/%d servers live, ring missing %v)",
+				timeout, live, len(nodes), late)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-func (c *LogdCluster) liveCount() int {
-	n := 0
-	for _, m := range c.members {
-		m.mu.Lock()
-		if !m.crashed {
-			n++
-		}
-		m.mu.Unlock()
-	}
-	return n
 }
 
 // WaitConverged blocks until every live member's store has the same
@@ -438,25 +387,7 @@ func (c *LogdCluster) WaitConverged(timeout time.Duration) error {
 // Close tears the whole cluster down (graceful stores: final snapshot).
 func (c *LogdCluster) Close() {
 	for _, m := range c.members {
-		m.mu.Lock()
-		imp, node, store, srv, hs := m.imp, m.node, m.store, m.srv, m.hs
-		m.imp, m.node, m.store, m.srv, m.hs = nil, nil, nil, nil, nil
-		m.crashed = true
-		m.mu.Unlock()
-		if hs != nil {
-			hs.Close() //nolint:errcheck
-		}
-		if srv != nil {
-			srv.Close()
-		}
-		if node != nil {
-			node.Close()
-		}
-		if imp != nil {
-			imp.Close()
-		}
-		if store != nil {
-			store.Close()
-		}
+		m.halt(false)
 	}
+	c.fab.close()
 }

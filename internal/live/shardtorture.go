@@ -187,80 +187,29 @@ func ShardTorture(opt ShardTortureOptions) (*ShardTortureResult, error) {
 		res.Violations = append(res.Violations, fmt.Sprintf(format, args...))
 	}
 
-	// Boot. UDP sockets all bind before peer wiring, as in the main
-	// harness.
-	var (
-		hub   *transport.MemHub
-		udps  map[proto.NodeID]*transport.UDPTransport
-		addrs map[proto.NodeID][]string
-	)
-	order := make([]proto.NodeID, 0, opt.Nodes)
-	for i := 1; i <= opt.Nodes; i++ {
-		order = append(order, proto.NodeID(i))
+	fab, err := newFabric(opt.Transport, opt.Nodes, opt.Networks, opt.WirePath, nm)
+	if err != nil {
+		return nil, err
 	}
-	peersOf := func(id proto.NodeID) []proto.NodeID {
-		out := make([]proto.NodeID, 0, len(order)-1)
-		for _, p := range order {
-			if p != id {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	switch opt.Transport {
-	case "mem":
-		hub = transport.NewMemHub(opt.Networks)
-	case "udp":
-		udps = make(map[proto.NodeID]*transport.UDPTransport)
-		addrs = make(map[proto.NodeID][]string)
-		listen := make([]string, opt.Networks)
-		for i := range listen {
-			listen[i] = "127.0.0.1:0"
-		}
-		for _, id := range order {
-			t, err := transport.NewUDP(transport.UDPConfig{ID: id, Listen: listen, WirePath: opt.WirePath})
-			if err != nil {
-				return nil, err
-			}
-			udps[id] = t
-			addrs[id] = t.LocalAddrs()
-		}
-		for _, id := range order {
-			for _, peer := range order {
-				if peer != id {
-					if err := udps[id].AddPeer(peer, addrs[peer]); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-	default:
-		return nil, fmt.Errorf("live: unknown transport %q", opt.Transport)
-	}
+	defer fab.close()
+	order := fab.order
 
-	nodes := make(map[proto.NodeID]*totem.Node, opt.Nodes)
-	imps := make(map[proto.NodeID]*Impaired, opt.Nodes)
+	var nodes []*totem.Node // in slot order
+	var trs []transport.Transport
 	defer func() {
 		for _, n := range nodes {
 			n.Close()
 		}
-		for _, imp := range imps {
-			imp.Close()
+		for _, tr := range trs {
+			tr.Close()
 		}
 	}()
 	for _, id := range order {
-		var inner transport.Transport
-		if hub != nil {
-			t, err := hub.Join(id)
-			if err != nil {
-				return nil, err
-			}
-			inner = t
-		} else {
-			inner = udps[id]
+		tr, err := fab.attach(id)
+		if err != nil {
+			return nil, err
 		}
-		imp := Impair(inner, id, peersOf(id), nm)
-		imps[id] = imp
+		trs = append(trs, tr)
 		n, err := totem.NewNode(totem.Config{
 			ID:          id,
 			Networks:    opt.Networks,
@@ -271,44 +220,21 @@ func ShardTorture(opt ShardTortureOptions) (*ShardTortureResult, error) {
 				liveTune(o)
 				o.MarkerInterval = 5 * time.Millisecond
 			},
-		}, imp)
+		}, tr)
 		if err != nil {
-			imp.Close()
 			return nil, fmt.Errorf("live: node %v: %w", id, err)
 		}
-		nodes[id] = n
+		nodes = append(nodes, n)
 	}
-
-	// Wait for every shard of every node to install full membership.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		ready := true
-		for _, n := range nodes {
-			if !n.Operational() {
-				ready = false
-				break
-			}
-			for s := 0; s < opt.Shards; s++ {
-				if _, members := n.RingOf(s); len(members) != opt.Nodes {
-					ready = false
-					break
-				}
-			}
-		}
-		if ready {
-			break
-		}
-		if time.Now().After(deadline) {
-			return nil, errors.New("live: sharded rings did not form")
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := waitRing(nodes, opt.Shards, 20*time.Second); err != nil {
+		return nil, err
 	}
 
 	// Recorders: one consumer per node, decoding the payload we encode in
 	// the load loop ("sender/seq").
 	var recWG sync.WaitGroup
 	var delivered atomic.Uint64
-	for _, id := range order {
+	for i, id := range order {
 		recWG.Add(1)
 		go func(id proto.NodeID, n *totem.Node) {
 			defer recWG.Done()
@@ -320,7 +246,7 @@ func ShardTorture(opt ShardTortureOptions) (*ShardTortureResult, error) {
 				st.record(id, shardRec{sender: proto.NodeID(sender), seq: seq, shard: d.Shard})
 				delivered.Add(1)
 			}
-		}(id, nodes[id])
+		}(id, nodes[i])
 	}
 
 	// Keyed load: every node spreads a seeded key stream over the shards
@@ -329,7 +255,7 @@ func ShardTorture(opt ShardTortureOptions) (*ShardTortureResult, error) {
 	// checker tracks delivered traffic, not offered traffic).
 	stopLoad := make(chan struct{})
 	var loadWG sync.WaitGroup
-	for _, id := range order {
+	for i, id := range order {
 		loadWG.Add(1)
 		go func(id proto.NodeID, n *totem.Node) {
 			defer loadWG.Done()
@@ -350,7 +276,7 @@ func ShardTorture(opt ShardTortureOptions) (*ShardTortureResult, error) {
 					}
 				}
 			}
-		}(id, nodes[id])
+		}(id, nodes[i])
 	}
 
 	// The seeded fault program: FaultWindows windows, each blacking out
