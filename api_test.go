@@ -272,7 +272,8 @@ func TestReadmitNetworkRestoresReplication(t *testing.T) {
 	}
 
 	// Traffic must flow on network 1 again without an instant re-fault.
-	before := nodes[1].Stats().RRP.TxPackets[1]
+	tx := nodes[1].Metrics().Counter("rrp.net1.tx_packets")
+	before := tx.Count()
 	for i := 0; i < 50; i++ {
 		for nodes[1].Send([]byte("after-repair")) != nil {
 			time.Sleep(time.Millisecond)
@@ -280,7 +281,7 @@ func TestReadmitNetworkRestoresReplication(t *testing.T) {
 	}
 	deadline = time.Now().Add(20 * time.Second)
 	for {
-		if nodes[1].Stats().RRP.TxPackets[1] > before {
+		if tx.Count() > before {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -299,14 +300,19 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-nodes[1].Deliveries()
-	s := nodes[1].Stats()
-	if s.SRP.MsgsDelivered == 0 {
-		t.Fatalf("SRP stats empty: %+v", s.SRP)
+	reg := nodes[1].Metrics()
+	if v, _ := reg.Get("srp.msgs_delivered"); v == 0 {
+		t.Fatal("srp.msgs_delivered not counted")
 	}
-	if len(s.RRP.RxPackets) != 2 {
-		t.Fatalf("RRP per-network stats missing: %+v", s.RRP)
+	var rx int64
+	for _, name := range []string{"rrp.net0.rx_packets", "rrp.net1.rx_packets"} {
+		v, ok := reg.Get(name)
+		if !ok {
+			t.Fatalf("per-network counter %s missing", name)
+		}
+		rx += v
 	}
-	if s.RRP.RxPackets[0]+s.RRP.RxPackets[1] == 0 {
+	if rx == 0 {
 		t.Fatal("no received packets counted")
 	}
 }

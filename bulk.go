@@ -12,21 +12,8 @@ import (
 )
 
 // BulkOptions tunes the sender side of SendBulk. Zero fields take
-// defaults. The receiver-side limits (maximum transfer size, concurrent
-// partial transfers) live in Options.SRP.
+// defaults. The receiver-side transfer size limit lives in Options.SRP.
 type BulkOptions struct {
-	// ChunkBytes is the size of each windowed chunk (default 8192). Larger
-	// chunks amortise envelope overhead; smaller ones give finer-grained
-	// progress and retry units. The ring's packer fragments chunks onto the
-	// wire either way.
-	ChunkBytes int
-	// Window is the maximum number of unacknowledged chunks in flight
-	// (default 32). A chunk is acknowledged when the sender delivers its
-	// own copy — ring-wide evidence that every member ordered it.
-	Window int
-	// Retries bounds per-chunk re-submissions under backpressure (default
-	// 8). Exhausting it fails the transfer with ErrBulkRetries.
-	Retries int
 	// Workers is the number of goroutines submitting chunks concurrently
 	// (default 2): while one blocks handing a chunk to the protocol loop,
 	// another is already queueing the next.
@@ -34,20 +21,24 @@ type BulkOptions struct {
 }
 
 func (o BulkOptions) withDefaults() BulkOptions {
-	if o.ChunkBytes <= 0 {
-		o.ChunkBytes = 8192
-	}
-	if o.Window <= 0 {
-		o.Window = 32
-	}
-	if o.Retries <= 0 {
-		o.Retries = 8
-	}
 	if o.Workers <= 0 {
 		o.Workers = 2
 	}
 	return o
 }
+
+// The sender-side transfer shape. Each windowed chunk is bulkChunkBytes
+// long; the ring's packer fragments chunks onto the wire either way. At
+// most bulkWindow chunks are unacknowledged at once, a chunk being
+// acknowledged when the sender delivers its own copy — ring-wide evidence
+// that every member ordered it. bulkRetries bounds one chunk's
+// re-submissions under backpressure; exhausting it fails the transfer with
+// ErrBulkRetries.
+const (
+	bulkChunkBytes = 8192
+	bulkWindow     = 32
+	bulkRetries    = 8
+)
 
 // Errors specific to bulk transfers.
 var (
@@ -126,7 +117,7 @@ func (t *BulkTransfer) complete(err error) {
 
 // SendBulk streams payload to the ring on the rate-limited bulk lane and
 // returns a handle tracking its progress. The transfer is chunked and
-// window-flow-controlled: at most Window chunks are unacknowledged at
+// window-flow-controlled: at most 32 chunks are unacknowledged at
 // once, and the lane yields ring budget to Send traffic whenever other
 // members have interactive backlog, so small-message latency survives a
 // saturating transfer. Every member — the sender included — receives the
@@ -161,7 +152,7 @@ func (n *Node) SendBulk(payload []byte) (*BulkTransfer, error) {
 		total:  int64(len(payload)),
 		done:   make(chan struct{}),
 		cancel: make(chan struct{}),
-		evs:    make(chan proto.BulkEvent, 2*n.bulkOpts.Window+8),
+		evs:    make(chan proto.BulkEvent, 2*bulkWindow+8),
 	}
 	n.bulkMu.Lock()
 	if n.bulkXfers == nil {
@@ -207,8 +198,7 @@ func (n *Node) bulkDispatch() {
 // to the send state, and resolves the handle. All SendState access stays
 // on this goroutine; workers only push chunks into the protocol loop.
 func (n *Node) runBulkManager(t *BulkTransfer, payload []byte) {
-	opts := n.bulkOpts
-	s := bulk.NewSendState(len(payload), opts.ChunkBytes, opts.Window, opts.Retries)
+	s := bulk.NewSendState(len(payload), bulkChunkBytes, bulkWindow, bulkRetries)
 
 	type result struct {
 		idx int
@@ -220,10 +210,10 @@ func (n *Node) runBulkManager(t *BulkTransfer, payload []byte) {
 	// (A reconfiguration refills the window while pre-reconfig entries can
 	// still be queued, so a blocking `work <-` here could deadlock against
 	// workers blocked on a full results channel.)
-	work := make(chan int, opts.Window)
-	results := make(chan result, opts.Window)
+	work := make(chan int, bulkWindow)
+	results := make(chan result, bulkWindow)
 	var wg sync.WaitGroup
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < n.bulkOpts.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -198,11 +198,12 @@ func run(id uint32, listen, styleName string, k, shards int, debugAddr string, p
 			ring, members := node.Ring()
 			fmt.Printf("ring %v members %v faults %v\n", ring, members, node.NetworkFaults())
 		case line == "/stats":
-			s := node.Stats()
-			fmt.Printf("srp: %+v\nrrp tx=%v rx=%v gated=%d timedout=%d\n",
-				s.SRP, s.RRP.TxPackets, s.RRP.RxPackets, s.RRP.TokensGated, s.RRP.TokensTimedOut)
-			fmt.Printf("rrp faults=%d cleared=%d readmits=%d flapbackoffs=%d\n",
-				s.RRP.FaultsRaised, s.RRP.FaultsCleared, s.RRP.Readmits, s.RRP.FlapBackoffs)
+			// The same JSON -debug-addr serves on /stats?shard=N.
+			for s := 0; s < node.Shards(); s++ {
+				if err := node.MetricsOf(s).WriteJSON(os.Stdout); err != nil {
+					return err
+				}
+			}
 		case strings.HasPrefix(line, "/key "):
 			rest := strings.TrimPrefix(line, "/key ")
 			key, msg, ok := strings.Cut(rest, " ")

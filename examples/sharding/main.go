@@ -70,8 +70,8 @@ func run() error {
 	// Per-shard introspection rides along.
 	for s := 0; s < nodes[0].Shards(); s++ {
 		ring, ids := nodes[0].RingOf(s)
-		fmt.Printf("shard %d: ring %v members %v delivered %d\n",
-			s, ring, ids, nodes[0].StatsOf(s).SRP.MsgsDelivered)
+		delivered, _ := nodes[0].MetricsOf(s).Get("srp.msgs_delivered")
+		fmt.Printf("shard %d: ring %v members %v delivered %d\n", s, ring, ids, delivered)
 	}
 
 	closeAll(nodes)

@@ -148,20 +148,19 @@ func Run(e Experiment) (Result, error) {
 	probe := cluster.Node(cluster.NodeIDs()[0])
 	startMsgs := probe.DeliveredCount
 	startBytes := probe.DeliveredBytes
-	var startRetrans uint64
-	for _, id := range cluster.NodeIDs() {
-		startRetrans += cluster.Node(id).Stack.SRP().Stats().Retransmissions
+	retransmissions := func() (sum uint64) {
+		for _, id := range cluster.NodeIDs() {
+			sum += cluster.Node(id).Stack.Metrics().Counter("srp.retransmissions").Count()
+		}
+		return sum
 	}
+	startRetrans := retransmissions()
 
 	cluster.Run(e.Measure)
 
 	msgs := probe.DeliveredCount - startMsgs
 	bytes := probe.DeliveredBytes - startBytes
-	var retrans uint64
-	for _, id := range cluster.NodeIDs() {
-		retrans += cluster.Node(id).Stack.SRP().Stats().Retransmissions
-	}
-	retrans -= startRetrans
+	retrans := retransmissions() - startRetrans
 
 	secs := e.Measure.Seconds()
 	res := Result{

@@ -139,8 +139,8 @@ func TestActiveGatesTokenUntilAllCopies(t *testing.T) {
 	if len(rec.delivered) != 1 {
 		t.Fatalf("token not delivered after all copies: %d", len(rec.delivered))
 	}
-	if a.Stats().TokensGated != 1 {
-		t.Fatalf("TokensGated = %d", a.Stats().TokensGated)
+	if a.met.tokensGated.Count() != 1 {
+		t.Fatalf("TokensGated = %d", a.met.tokensGated.Count())
 	}
 }
 
@@ -157,7 +157,7 @@ func TestActiveIgnoresCopiesAfterDelivery(t *testing.T) {
 	if len(rec.delivered) != 1 {
 		t.Fatal("late token copy delivered twice")
 	}
-	if a.Stats().TokensDiscarded == 0 {
+	if a.met.tokensDiscarded.Count() == 0 {
 		t.Fatal("late copy not counted as discarded")
 	}
 }
@@ -203,8 +203,8 @@ func TestActiveTokenTimerReleasesToken(t *testing.T) {
 	if len(rec.delivered) != 1 {
 		t.Fatal("timer did not release the token")
 	}
-	if a.Stats().TokensTimedOut != 1 {
-		t.Fatalf("TokensTimedOut = %d", a.Stats().TokensTimedOut)
+	if a.met.tokensTimedOut.Count() != 1 {
+		t.Fatalf("TokensTimedOut = %d", a.met.tokensTimedOut.Count())
 	}
 	// The copy arriving after the timeout is ignored (A4).
 	a.OnPacket(0, 1, tokenBytes(t, 10, 0))

@@ -73,8 +73,8 @@ func TestActivePassiveTimeoutReleasesToken(t *testing.T) {
 	if len(rec.delivered) != 1 {
 		t.Fatal("timeout did not release token")
 	}
-	if ap.Stats().TokensTimedOut != 1 {
-		t.Fatalf("TokensTimedOut = %d", ap.Stats().TokensTimedOut)
+	if ap.met.tokensTimedOut.Count() != 1 {
+		t.Fatalf("TokensTimedOut = %d", ap.met.tokensTimedOut.Count())
 	}
 }
 
@@ -118,6 +118,61 @@ func TestActivePassiveMonitorFlagsDeadNetwork(t *testing.T) {
 	faults := rec.drainFaults()
 	if len(faults) != 1 || faults[0].Network != 2 {
 		t.Fatalf("faults = %v, want network 2", faults)
+	}
+}
+
+func TestActivePassiveTokenMonitorFlagsDeadNetworkAndReadmitsIt(t *testing.T) {
+	rec := &recorder{}
+	ap := newAPForTest(t, rec, 3, 2)
+	ap.Start(0)
+	decayArmed := false
+	for _, a := range rec.acts.Drain() {
+		if st, ok := a.(proto.SetTimer); ok && st.ID.Class == proto.TimerRRPDecay {
+			decayArmed = true
+		}
+	}
+	if !decayArmed {
+		t.Fatal("Start did not arm the decay timer")
+	}
+	var seq uint32
+	// tokensOn delivers n token generations, each copied on networks 0 and
+	// 1 only: network 2 is dead.
+	tokensOn := func(n int) {
+		for i := 0; i < n; i++ {
+			seq++
+			ap.OnPacket(0, 0, tokenBytes(t, seq, 0))
+			ap.OnPacket(0, 1, tokenBytes(t, seq, 0))
+		}
+	}
+	tokensOn(ap.cfg.TokenDiffThreshold + 1)
+	faults := rec.drainFaults()
+	if len(faults) != 1 || faults[0].Network != 2 {
+		t.Fatalf("faults = %v, want the token monitor to flag network 2", faults)
+	}
+
+	// Tokens now go on the two usable networks, plus one probation probe
+	// on the faulty one.
+	ap.SendToken(2, tokenBytes(t, seq+1, 0))
+	if got := rec.drainSends(t, 3); got[0] != 1 || got[1] != 1 || got[2] != 1 {
+		t.Fatalf("token sends = %v, want K=2 copies on the usable networks and one probe", got)
+	}
+
+	// Receptions on the healed network through a full probation readmit it.
+	for w := 0; w < ap.cfg.ProbationWindows; w++ {
+		ap.OnPacket(0, 2, dataBytes(t, 3, seq))
+		ap.OnTimer(0, proto.TimerID{Class: proto.TimerRRPDecay})
+	}
+	if ap.Faulty()[2] {
+		t.Fatal("network 2 not readmitted after its probation")
+	}
+	if clears := rec.drainClears(); len(clears) != 1 || clears[0].Network != 2 {
+		t.Fatalf("clears = %v, want one for network 2", clears)
+	}
+	// Lag accrued while peers still exclude the network is discarded
+	// during the readmission grace instead of convicting it again.
+	tokensOn(2 * ap.cfg.TokenDiffThreshold)
+	if faults := rec.drainFaults(); len(faults) != 0 {
+		t.Fatalf("re-convicted during the readmission grace: %v", faults)
 	}
 }
 

@@ -62,36 +62,6 @@ type Replicator interface {
 	Readmit(network int)
 	// Style identifies the replication style.
 	Style() proto.ReplicationStyle
-	// Stats returns a snapshot of the layer's counters.
-	Stats() Stats
-}
-
-// Stats counts RRP-layer events.
-type Stats struct {
-	// TxPackets and RxPackets count per-network traffic.
-	TxPackets []uint64
-	RxPackets []uint64
-	// TokensGated counts tokens delivered upward after full gathering
-	// (active) or gap-free arrival (passive).
-	TokensGated uint64
-	// TokensTimedOut counts tokens released by the token timer.
-	TokensTimedOut uint64
-	// TokensDiscarded counts stale or duplicate token copies dropped.
-	TokensDiscarded uint64
-	// FaultsRaised counts networks declared faulty.
-	FaultsRaised uint64
-	// FaultsCleared counts networks automatically readmitted by the
-	// recovery monitor after a clean probation period.
-	FaultsCleared uint64
-	// Readmits counts every successful readmission, automatic or manual
-	// (operator-driven Readmit calls).
-	Readmits uint64
-	// FlapBackoffs counts re-faults within the flap window of the previous
-	// readmission; each one doubles the network's next probation.
-	FlapBackoffs uint64
-	// ProbesSent counts recovery-monitor probe packets sent on faulted
-	// networks during probation.
-	ProbesSent uint64
 }
 
 // Config parameterises a replicator.
@@ -145,8 +115,7 @@ type Config struct {
 	MaxProbation int
 
 	// Metrics, when non-nil, is the registry the replicator registers its
-	// counters in (names under "rrp."). Nil gets a private registry, so
-	// Stats keeps working for callers that never wire one up.
+	// counters in (names under "rrp."). Nil gets a private registry.
 	Metrics *metrics.Registry
 }
 
@@ -275,28 +244,6 @@ func newBase(cfg Config, acts *proto.Actions, cb Callbacks) base {
 // Faulty implements part of Replicator.
 func (b *base) Faulty() []bool {
 	return append([]bool(nil), b.fault...)
-}
-
-// Stats implements part of Replicator: a thin view rebuilt from the
-// metrics registry for API compatibility.
-func (b *base) Stats() Stats {
-	s := Stats{
-		TxPackets:       make([]uint64, len(b.met.tx)),
-		RxPackets:       make([]uint64, len(b.met.rx)),
-		TokensGated:     b.met.tokensGated.Count(),
-		TokensTimedOut:  b.met.tokensTimedOut.Count(),
-		TokensDiscarded: b.met.tokensDiscarded.Count(),
-		FaultsRaised:    b.met.faultsRaised.Count(),
-		FaultsCleared:   b.met.faultsCleared.Count(),
-		Readmits:        b.met.readmits.Count(),
-		FlapBackoffs:    b.met.flapBackoffs.Count(),
-		ProbesSent:      b.met.probesSent.Count(),
-	}
-	for i := range b.met.tx {
-		s.TxPackets[i] = b.met.tx[i].Count()
-		s.RxPackets[i] = b.met.rx[i].Count()
-	}
-	return s
 }
 
 // nonFaultyCount returns the number of usable networks.

@@ -7,7 +7,7 @@ import (
 )
 
 // coreCounters holds the RRP layer's resolved metric handles (names under
-// "rrp."). The legacy Stats view is rebuilt from these on demand.
+// "rrp.").
 type coreCounters struct {
 	tx, rx          []*metrics.Counter // per network
 	tokensGated     *metrics.Counter

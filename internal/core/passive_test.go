@@ -80,8 +80,8 @@ func TestPassiveTokenPassesWhenNothingMissing(t *testing.T) {
 	if len(rec.delivered) != 1 {
 		t.Fatalf("token not passed straight up: %d", len(rec.delivered))
 	}
-	if p.Stats().TokensGated != 1 {
-		t.Fatalf("TokensGated = %d", p.Stats().TokensGated)
+	if p.met.tokensGated.Count() != 1 {
+		t.Fatalf("TokensGated = %d", p.met.tokensGated.Count())
 	}
 }
 
@@ -118,8 +118,8 @@ func TestPassiveTokenTimerReleasesHeldToken(t *testing.T) {
 	if len(rec.delivered) != 1 {
 		t.Fatalf("timer did not release token: %d", len(rec.delivered))
 	}
-	if p.Stats().TokensTimedOut != 1 {
-		t.Fatalf("TokensTimedOut = %d", p.Stats().TokensTimedOut)
+	if p.met.tokensTimedOut.Count() != 1 {
+		t.Fatalf("TokensTimedOut = %d", p.met.tokensTimedOut.Count())
 	}
 }
 
@@ -252,7 +252,7 @@ func TestPassiveDisplacedHeldTokenAccounted(t *testing.T) {
 	rec.acts.SetProbe(func(e proto.ProbeEvent) { probes = append(probes, e) })
 	p.OnPacket(0, 0, tokenBytes(t, 10, 0))
 	p.OnPacket(0, 1, tokenBytes(t, 20, 0))
-	if got := p.Stats().TokensDiscarded; got != 1 {
+	if got := p.met.tokensDiscarded.Count(); got != 1 {
 		t.Fatalf("TokensDiscarded = %d, want the displaced token counted", got)
 	}
 	var disc []proto.ProbeEvent
@@ -287,7 +287,7 @@ func TestPassiveChaosHeldTokenLeakRevertsFix(t *testing.T) {
 	p := newPassiveForTest(t, rec, 2)
 	p.OnPacket(0, 0, tokenBytes(t, 10, 0))
 	p.OnPacket(0, 1, tokenBytes(t, 20, 0))
-	if got := p.Stats().TokensDiscarded; got != 0 {
+	if got := p.met.tokensDiscarded.Count(); got != 0 {
 		t.Fatalf("TokensDiscarded = %d, chaos flag should restore the silent drop", got)
 	}
 }

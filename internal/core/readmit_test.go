@@ -65,9 +65,8 @@ func TestAutoReadmitAfterCleanProbation(t *testing.T) {
 	if len(clears) != 1 || clears[0].Network != 1 || clears[0].Probation != a.cfg.ProbationWindows {
 		t.Fatalf("clears = %v, want one for network 1 after %d windows", clears, a.cfg.ProbationWindows)
 	}
-	s := a.Stats()
-	if s.FaultsCleared != 1 || s.Readmits != 1 || s.FlapBackoffs != 0 {
-		t.Fatalf("stats = cleared %d readmits %d flaps %d", s.FaultsCleared, s.Readmits, s.FlapBackoffs)
+	if m := a.met; m.faultsCleared.Count() != 1 || m.readmits.Count() != 1 || m.flapBackoffs.Count() != 0 {
+		t.Fatalf("counters = cleared %d readmits %d flaps %d", m.faultsCleared.Count(), m.readmits.Count(), m.flapBackoffs.Count())
 	}
 }
 
@@ -133,7 +132,7 @@ func TestFlapDoublesProbation(t *testing.T) {
 	passGrace(a)
 	convict(t, a, 1)
 	serve(4 * a.cfg.ProbationWindows) // 12
-	if got := a.Stats().FlapBackoffs; got != 2 {
+	if got := a.met.flapBackoffs.Count(); got != 2 {
 		t.Fatalf("FlapBackoffs = %d, want 2", got)
 	}
 }
@@ -276,16 +275,16 @@ func TestAutoReadmitDisabledPreservesManualModel(t *testing.T) {
 	if clears := rec.drainClears(); len(clears) != 0 {
 		t.Fatalf("clears = %v, want none", clears)
 	}
-	if s := a.Stats(); s.FaultsCleared != 0 || s.Readmits != 0 {
-		t.Fatalf("stats = %+v", s)
+	if m := a.met; m.faultsCleared.Count() != 0 || m.readmits.Count() != 0 {
+		t.Fatalf("counters = cleared %d readmits %d", m.faultsCleared.Count(), m.readmits.Count())
 	}
 	// The operator's manual readmission still works and is counted.
 	a.Readmit(1)
 	if a.fault[1] {
 		t.Fatal("manual readmit failed")
 	}
-	if s := a.Stats(); s.Readmits != 1 || s.FaultsCleared != 0 {
-		t.Fatalf("stats after manual readmit = %+v", s)
+	if m := a.met; m.readmits.Count() != 1 || m.faultsCleared.Count() != 0 {
+		t.Fatalf("counters after manual readmit = readmits %d cleared %d", m.readmits.Count(), m.faultsCleared.Count())
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package metrics is a tiny named-counter/gauge registry: the single
 // source of truth for every statistic the stack maintains. Machines hold
 // resolved *Counter pointers, so the hot path pays one atomic add per
-// increment and zero allocations; consumers (Stats views, debug
-// endpoints, benchmarks) read a consistent ordered snapshot by name.
+// increment and zero allocations; consumers (the /stats endpoint,
+// benchmarks, tests) read a consistent ordered snapshot by name.
 package metrics
 
 import (

@@ -6,7 +6,7 @@ import "time"
 // injectors. These model the messy failure shapes of production networks —
 // links that oscillate, switches that shed packets in bursts, and optics
 // that degrade gradually — and drive the recovery-monitor scenarios in the
-// tests and cmd/faultinject.
+// tests.
 
 // ScheduleFlap makes network i oscillate: starting now, it goes down for
 // downFor, up for upFor, repeated cycles times (a final revive is always

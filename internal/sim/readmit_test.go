@@ -6,6 +6,7 @@ import (
 
 	"github.com/totem-rrp/totem/internal/proto"
 	"github.com/totem-rrp/totem/internal/stack"
+	"github.com/totem-rrp/totem/internal/trace"
 )
 
 // Regression tests for the automatic-readmission subsystem: a healed
@@ -41,17 +42,9 @@ func noneFaulty(c *Cluster, net int) bool {
 }
 
 func TestAutoReadmitHealedNetwork(t *testing.T) {
-	styles := []struct {
-		networks int
-		style    proto.ReplicationStyle
-	}{
-		{2, proto.ReplicationActive},
-		{2, proto.ReplicationPassive},
-		{3, proto.ReplicationActivePassive},
-	}
-	for _, tc := range styles {
+	for _, tc := range faultStyles {
 		t.Run(tc.style.String(), func(t *testing.T) {
-			c := mustCluster(t, fastRecoveryConfig(4, tc.networks, tc.style))
+			c, ctr := tracedCluster(t, fastRecoveryConfig(4, tc.networks, tc.style))
 			for _, id := range c.NodeIDs() {
 				c.Node(id).KeepPayloads = false
 			}
@@ -60,6 +53,7 @@ func TestAutoReadmitHealedNetwork(t *testing.T) {
 			pump(c, make([]byte, 512), 32)
 			c.Run(200 * time.Millisecond)
 			configsBefore := totalConfigs(c)
+			deliveredBefore := c.Node(1).DeliveredCount
 
 			c.KillNetwork(1)
 			if !c.RunUntil(func() bool { return allFaulty(c, 1) }, 10*time.Millisecond, 5*time.Second) {
@@ -67,7 +61,8 @@ func TestAutoReadmitHealedNetwork(t *testing.T) {
 			}
 
 			c.ReviveNetwork(1)
-			txAtRevive := c.Node(1).Stack.Replicator().Stats().TxPackets[1]
+			tx := c.Node(1).Stack.Metrics().Counter("rrp.net1.tx_packets")
+			txAtRevive := tx.Count()
 			if !c.RunUntil(func() bool { return noneFaulty(c, 1) }, 10*time.Millisecond, 5*time.Second) {
 				t.Fatal("healed network never auto-readmitted")
 			}
@@ -86,8 +81,21 @@ func TestAutoReadmitHealedNetwork(t *testing.T) {
 
 			// Replication traffic (not just probes) resumes on the network.
 			c.Run(500 * time.Millisecond)
-			if tx := c.Node(1).Stack.Replicator().Stats().TxPackets[1]; tx <= txAtRevive {
-				t.Fatalf("no traffic on the healed network: %d at revive, %d now", txAtRevive, tx)
+			if now := tx.Count(); now <= txAtRevive {
+				t.Fatalf("no traffic on the healed network: %d at revive, %d now", txAtRevive, now)
+			}
+			assertFaultNarrated(t, c, ctr, deliveredBefore)
+			// The recovery monitor narrated its work through the probe
+			// spine: probes on the faulted network, probation windows
+			// counted down, and the raise and clear themselves.
+			if ctr.CodeCount(proto.ProbeProbeSent) == 0 {
+				t.Fatal("recovery monitor never reported sending a probe")
+			}
+			if ctr.CodeCount(proto.ProbeProbation) == 0 {
+				t.Fatal("recovery monitor never reported probation progress")
+			}
+			if ctr.Count(trace.FaultRaised) == 0 || ctr.Count(trace.FaultCleared) == 0 {
+				t.Fatal("fault raise/clear events missing from the structured stream")
 			}
 			// The whole fault-and-heal cycle stayed below the membership
 			// layer (paper §3).
@@ -99,46 +107,56 @@ func TestAutoReadmitHealedNetwork(t *testing.T) {
 }
 
 func TestFlapDampingBacksOffWithoutMembershipChange(t *testing.T) {
-	c := mustCluster(t, fastRecoveryConfig(4, 2, proto.ReplicationActive))
-	for _, id := range c.NodeIDs() {
-		c.Node(id).KeepPayloads = false
-	}
-	c.Start()
-	waitRing(t, c, 3*time.Second)
-	pump(c, make([]byte, 512), 32)
-	c.Run(200 * time.Millisecond)
-	configsBefore := totalConfigs(c)
-
-	c.ScheduleFlap(1, 500*time.Millisecond, 2*time.Second, 3)
-	c.Run(9 * time.Second)
-
-	// Each re-fault within the flap window doubles the next probation, so
-	// the sequence of clear reports shows a growing requirement.
-	damped := false
-	for _, id := range c.NodeIDs() {
-		cl := c.Node(id).Cleared
-		for i := 1; i < len(cl); i++ {
-			if cl[i].Probation < cl[i-1].Probation {
-				t.Fatalf("node %v: probation shrank across flaps: %v", id, cl)
+	for _, tc := range faultStyles {
+		t.Run(tc.style.String(), func(t *testing.T) {
+			c, ctr := tracedCluster(t, fastRecoveryConfig(4, tc.networks, tc.style))
+			for _, id := range c.NodeIDs() {
+				c.Node(id).KeepPayloads = false
 			}
-		}
-		if len(cl) >= 2 && cl[len(cl)-1].Probation > cl[0].Probation {
-			damped = true
-		}
-	}
-	if !damped {
-		t.Fatal("no node showed probation doubling across flap cycles")
-	}
-	backoffs := uint64(0)
-	for _, id := range c.NodeIDs() {
-		backoffs += c.Node(id).Stack.Replicator().Stats().FlapBackoffs
-	}
-	if backoffs == 0 {
-		t.Fatal("no flap backoff counted")
-	}
-	// However hard the network flaps, the ring membership never moves.
-	if got := totalConfigs(c); got != configsBefore {
-		t.Fatalf("flapping network changed membership: %d -> %d config events", configsBefore, got)
+			c.Start()
+			waitRing(t, c, 3*time.Second)
+			pump(c, make([]byte, 512), 32)
+			c.Run(200 * time.Millisecond)
+			configsBefore := totalConfigs(c)
+			deliveredBefore := c.Node(1).DeliveredCount
+
+			c.ScheduleFlap(1, 500*time.Millisecond, 2*time.Second, 3)
+			c.Run(9 * time.Second)
+
+			assertFaultNarrated(t, c, ctr, deliveredBefore)
+			// Each re-fault within the flap window doubles the next
+			// probation, so the sequence of clear reports shows a growing
+			// requirement.
+			damped := false
+			for _, id := range c.NodeIDs() {
+				cl := c.Node(id).Cleared
+				for i := 1; i < len(cl); i++ {
+					if cl[i].Probation < cl[i-1].Probation {
+						t.Fatalf("node %v: probation shrank across flaps: %v", id, cl)
+					}
+				}
+				if len(cl) >= 2 && cl[len(cl)-1].Probation > cl[0].Probation {
+					damped = true
+				}
+			}
+			if !damped {
+				t.Fatal("no node showed probation doubling across flap cycles")
+			}
+			if counterSum(c, "rrp.flap_backoffs") == 0 {
+				t.Fatal("no flap backoff counted")
+			}
+			if ctr.CodeCount(proto.ProbeFlapBackoff) == 0 {
+				t.Fatal("no structured flap-backoff event was recorded")
+			}
+			if got := ctr.Count(trace.FaultCleared); got < 2 {
+				t.Fatalf("%d structured readmission events across the flap cycles, want >= 2", got)
+			}
+			// However hard the network flaps, the ring membership never
+			// moves.
+			if got := totalConfigs(c); got != configsBefore {
+				t.Fatalf("flapping network changed membership: %d -> %d config events", configsBefore, got)
+			}
+		})
 	}
 }
 
@@ -180,9 +198,10 @@ func TestAutoReadmitDisabledRequiresOperator(t *testing.T) {
 	if !noneFaulty(c, 1) {
 		t.Fatal("manual readmission failed")
 	}
-	tx := c.Node(1).Stack.Replicator().Stats().TxPackets[1]
+	tx := c.Node(1).Stack.Metrics().Counter("rrp.net1.tx_packets")
+	before := tx.Count()
 	c.Run(500 * time.Millisecond)
-	if got := c.Node(1).Stack.Replicator().Stats().TxPackets[1]; got <= tx {
+	if tx.Count() <= before {
 		t.Fatal("no traffic after manual readmission")
 	}
 }

@@ -97,11 +97,11 @@ func TestCommitRetransmitExhaustionFailsSuccessor(t *testing.T) {
 	}
 	m.checkConsensus(0, false) // rep sends the commit token to node 2
 	sentBefore := len(out.unicasts)
-	for i := 0; i < m.cfg.CommitRetransmitLimit-1; i++ {
+	for i := 0; i < commitRetransmitLimit-1; i++ {
 		m.onCommitTimeout(0)
 	}
-	if got := len(out.unicasts) - sentBefore; got != m.cfg.CommitRetransmitLimit-1 {
-		t.Fatalf("retransmits = %d, want %d", got, m.cfg.CommitRetransmitLimit-1)
+	if got := len(out.unicasts) - sentBefore; got != commitRetransmitLimit-1 {
+		t.Fatalf("retransmits = %d, want %d", got, commitRetransmitLimit-1)
 	}
 	// The final timeout gives up and fails the successor.
 	m.onCommitTimeout(0)

@@ -74,16 +74,10 @@ type Config struct {
 	// saturating transfer yields the window to latency-sensitive traffic.
 	// Zero selects the default; it must not exceed BulkMaxPerVisit.
 	BulkYieldPerVisit int
-	// MaxQueuedBulk caps the bulk-lane send queue (chunks); SubmitBulk
-	// rejects beyond it. Zero selects the default.
-	MaxQueuedBulk int
 	// MaxBulkTransfer bounds a single inbound transfer's announced length
 	// in bytes; larger announcements are dropped without allocation. Zero
 	// selects the default.
 	MaxBulkTransfer int
-	// MaxBulkPartials bounds concurrent in-progress inbound transfers.
-	// Zero selects the default.
-	MaxBulkPartials int
 
 	// TokenLossTimeout starts the membership protocol when no token
 	// arrives for this long (paper §2).
@@ -99,9 +93,6 @@ type Config struct {
 	// CommitRetransmitInterval re-sends the commit token until evidence
 	// arrives.
 	CommitRetransmitInterval time.Duration
-	// CommitRetransmitLimit bounds commit-token retries before the
-	// successor is declared failed and Gather restarts.
-	CommitRetransmitLimit int
 	// MergeDetectInterval is how often an operational ring's
 	// representative broadcasts a merge-detect packet so that rings
 	// separated by a healed partition find each other.
@@ -128,8 +119,7 @@ type Config struct {
 	InitialEpoch uint32
 
 	// Metrics, when non-nil, is the registry the machine registers its
-	// counters in (names under "srp."). Nil gets a private registry, so
-	// Stats keeps working for callers that never wire one up.
+	// counters in (names under "srp."). Nil gets a private registry.
 	Metrics *metrics.Registry
 }
 
@@ -144,15 +134,12 @@ func DefaultConfig(id proto.NodeID) Config {
 		MaxQueued:                1024,
 		BulkMaxPerVisit:          DefaultBulkMaxPerVisit,
 		BulkYieldPerVisit:        DefaultBulkYieldPerVisit,
-		MaxQueuedBulk:            DefaultMaxQueuedBulk,
 		MaxBulkTransfer:          DefaultMaxBulkTransfer,
-		MaxBulkPartials:          DefaultMaxBulkPartials,
 		TokenLossTimeout:         100 * time.Millisecond,
 		TokenRetransmitInterval:  6 * time.Millisecond,
 		JoinInterval:             60 * time.Millisecond,
 		ConsensusTimeout:         250 * time.Millisecond,
 		CommitRetransmitInterval: 30 * time.Millisecond,
-		CommitRetransmitLimit:    5,
 		MergeDetectInterval:      200 * time.Millisecond,
 		SeqRollover:              DefaultSeqRollover,
 	}
@@ -171,14 +158,8 @@ const (
 	// DefaultBulkYieldPerVisit keeps a trickle of bulk progress even under
 	// sustained interactive load, preventing transfer starvation.
 	DefaultBulkYieldPerVisit = 2
-	// DefaultMaxQueuedBulk bounds queued bulk chunks; the sender-side
-	// window (totem.BulkOptions.Window) is far smaller, so this only trips
-	// when many transfers run at once.
-	DefaultMaxQueuedBulk = 256
 	// DefaultMaxBulkTransfer bounds one transfer to 64 MiB.
 	DefaultMaxBulkTransfer = 64 << 20
-	// DefaultMaxBulkPartials bounds concurrent inbound transfers.
-	DefaultMaxBulkPartials = 16
 )
 
 // Validation errors.
@@ -201,8 +182,7 @@ func (c Config) Validate() error {
 	if c.MaxPerVisit > c.WindowSize {
 		return fmt.Errorf("%w: MaxPerVisit %d exceeds WindowSize %d", ErrBadConfig, c.MaxPerVisit, c.WindowSize)
 	}
-	if c.BulkMaxPerVisit < 0 || c.BulkYieldPerVisit < 0 || c.MaxQueuedBulk < 0 ||
-		c.MaxBulkTransfer < 0 || c.MaxBulkPartials < 0 {
+	if c.BulkMaxPerVisit < 0 || c.BulkYieldPerVisit < 0 || c.MaxBulkTransfer < 0 {
 		return fmt.Errorf("%w: bulk-lane knobs must be non-negative (zero selects the default)", ErrBadConfig)
 	}
 	if c.BulkMaxPerVisit > 0 && c.BulkYieldPerVisit > c.BulkMaxPerVisit {
@@ -218,9 +198,6 @@ func (c Config) Validate() error {
 	}
 	if c.TokenRetransmitInterval >= c.TokenLossTimeout {
 		return fmt.Errorf("%w: token retransmit interval must be below token loss timeout", ErrBadConfig)
-	}
-	if c.CommitRetransmitLimit <= 0 {
-		return fmt.Errorf("%w: CommitRetransmitLimit must be positive", ErrBadConfig)
 	}
 	if c.SeqRollover != 0 {
 		if c.SeqRollover > DefaultSeqRollover {

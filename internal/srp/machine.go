@@ -56,26 +56,6 @@ func (s State) String() string {
 	}
 }
 
-// Stats is a point-in-time view of the protocol counters, kept for API
-// compatibility. The machine's source of truth is the metrics registry
-// (names under "srp."); Stats is rebuilt from it on each call.
-type Stats struct {
-	TokensReceived   uint64
-	TokensSent       uint64
-	TokenRetransmits uint64
-	PacketsSent      uint64 // original data packets broadcast
-	PacketsReceived  uint64 // non-duplicate data packets accepted
-	Duplicates       uint64 // duplicate data packets discarded
-	Retransmissions  uint64 // packets re-broadcast to serve RTR requests
-	RetransRequested uint64 // RTR entries this node added to the token
-	MsgsDelivered    uint64
-	BytesDelivered   uint64
-	Submitted        uint64
-	SubmitRejected   uint64
-	TokenLosses      uint64
-	ConfigChanges    uint64
-}
-
 type tokenKey struct {
 	seq      uint32
 	rotation uint32
@@ -174,6 +154,9 @@ type Machine struct {
 	ctr counters
 }
 
+// maxBulkPartials bounds concurrent in-progress inbound bulk transfers.
+const maxBulkPartials = 16
+
 // NewMachine builds a machine. It validates cfg and panics on programmer
 // error (nil interfaces); configuration errors are returned.
 func NewMachine(cfg Config, out Outbound, acts *proto.Actions) (*Machine, error) {
@@ -202,14 +185,8 @@ func NewMachine(cfg Config, out Outbound, acts *proto.Actions) (*Machine, error)
 	if cfg.BulkYieldPerVisit > cfg.BulkMaxPerVisit {
 		cfg.BulkYieldPerVisit = cfg.BulkMaxPerVisit
 	}
-	if cfg.MaxQueuedBulk == 0 {
-		cfg.MaxQueuedBulk = DefaultMaxQueuedBulk
-	}
 	if cfg.MaxBulkTransfer == 0 {
 		cfg.MaxBulkTransfer = DefaultMaxBulkTransfer
-	}
-	if cfg.MaxBulkPartials == 0 {
-		cfg.MaxBulkPartials = DefaultMaxBulkPartials
 	}
 	m := &Machine{
 		cfg:       cfg,
@@ -220,7 +197,7 @@ func NewMachine(cfg Config, out Outbound, acts *proto.Actions) (*Machine, error)
 		asm:       wire.NewAssembler(),
 		rx:        make(map[uint32]*wire.DataPacket),
 		joinEpoch: make(map[proto.NodeID]uint32),
-		bulkRx:    bulk.NewRx(cfg.MaxBulkTransfer, cfg.MaxBulkPartials),
+		bulkRx:    bulk.NewRx(cfg.MaxBulkTransfer, maxBulkPartials),
 		bulkBufs:  make(map[uint32][][]byte),
 		ctr:       newCounters(reg),
 	}
@@ -247,27 +224,6 @@ func (m *Machine) MaxEpoch() uint32 { return m.maxEpoch }
 // copy.
 func (m *Machine) Members() []proto.NodeID {
 	return append([]proto.NodeID(nil), m.members...)
-}
-
-// Stats returns a snapshot of the protocol counters (a thin view over
-// the metrics registry).
-func (m *Machine) Stats() Stats {
-	return Stats{
-		TokensReceived:   m.ctr.tokensReceived.Count(),
-		TokensSent:       m.ctr.tokensSent.Count(),
-		TokenRetransmits: m.ctr.tokenRetransmits.Count(),
-		PacketsSent:      m.ctr.packetsSent.Count(),
-		PacketsReceived:  m.ctr.packetsReceived.Count(),
-		Duplicates:       m.ctr.duplicates.Count(),
-		Retransmissions:  m.ctr.retransmissions.Count(),
-		RetransRequested: m.ctr.retransRequested.Count(),
-		MsgsDelivered:    m.ctr.msgsDelivered.Count(),
-		BytesDelivered:   m.ctr.bytesDelivered.Count(),
-		Submitted:        m.ctr.submitted.Count(),
-		SubmitRejected:   m.ctr.submitRejected.Count(),
-		TokenLosses:      m.ctr.tokenLosses.Count(),
-		ConfigChanges:    m.ctr.configChanges.Count(),
-	}
 }
 
 // setState records a membership phase transition, emitting a probe event
@@ -328,6 +284,11 @@ func (m *Machine) Submit(now proto.Time, payload []byte) bool {
 	return true
 }
 
+// maxQueuedBulk caps the bulk-lane send queue (chunks). The sender-side
+// window of a transfer is far smaller, so this only trips when many
+// transfers run at once.
+const maxQueuedBulk = 256
+
 // SubmitBulk queues one chunk of a bulk transfer on the rate-limited bulk
 // lane. The chunk is wrapped in the bulk envelope (transfer id, byte
 // offset, total length) into a recycled buffer; data is copied and may be
@@ -338,7 +299,7 @@ func (m *Machine) SubmitBulk(now proto.Time, id, off, total uint64, data []byte)
 	if m.state == StateIdle {
 		return false
 	}
-	if m.packer.BulkBacklog() >= m.cfg.MaxQueuedBulk {
+	if m.packer.BulkBacklog() >= maxQueuedBulk {
 		m.ctr.bulkRejected.Inc()
 		m.acts.Probe(proto.ProbeFlowStall, -1, int64(m.packer.BulkBacklog()), 1, 0)
 		return false

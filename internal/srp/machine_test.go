@@ -25,7 +25,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero queue", func(c *Config) { c.MaxQueued = 0 }, ErrBadConfig},
 		{"zero token loss", func(c *Config) { c.TokenLossTimeout = 0 }, ErrBadConfig},
 		{"retransmit >= loss", func(c *Config) { c.TokenRetransmitInterval = c.TokenLossTimeout }, ErrBadConfig},
-		{"zero commit limit", func(c *Config) { c.CommitRetransmitLimit = 0 }, ErrBadConfig},
 		{"safe ok", func(c *Config) { c.Delivery = DeliverSafe }, nil},
 	}
 	for _, tc := range cases {
@@ -198,11 +197,10 @@ func TestRetransmissionRecoversDroppedPacket(t *testing.T) {
 	if !dropped {
 		t.Fatal("test did not actually drop anything")
 	}
-	if h.machines[3].m.Stats().RetransRequested == 0 {
+	if h.machines[3].m.ctr.retransRequested.Count() == 0 {
 		t.Fatal("no retransmission was requested")
 	}
-	st1, st2 := h.machines[1].m.Stats(), h.machines[2].m.Stats()
-	if st1.Retransmissions+st2.Retransmissions == 0 {
+	if h.machines[1].m.ctr.retransmissions.Count()+h.machines[2].m.ctr.retransmissions.Count() == 0 {
 		t.Fatal("nobody served the retransmission")
 	}
 }
@@ -236,7 +234,7 @@ func TestRetransmissionServedOnceForTwoMissingNodes(t *testing.T) {
 	}
 	total := uint64(0)
 	for _, id := range h.order {
-		total += h.machines[id].m.Stats().Retransmissions
+		total += h.machines[id].m.ctr.retransmissions.Count()
 	}
 	if total != 1 {
 		t.Fatalf("retransmissions = %d, want exactly 1", total)
@@ -263,7 +261,7 @@ func TestTokenLossTriggersMembership(t *testing.T) {
 	if h.machines[1].m.Ring() == ringBefore {
 		t.Fatal("ring id unchanged after membership change")
 	}
-	if h.machines[1].m.Stats().TokenLosses == 0 && h.machines[2].m.Stats().TokenLosses == 0 {
+	if h.machines[1].m.ctr.tokenLosses.Count() == 0 && h.machines[2].m.ctr.tokenLosses.Count() == 0 {
 		t.Fatal("no token loss recorded")
 	}
 	// Extended virtual synchrony: a transitional configuration must have

@@ -1,8 +1,6 @@
 package srp
 
 import (
-	"time"
-
 	"github.com/totem-rrp/totem/internal/proto"
 	"github.com/totem-rrp/totem/internal/wire"
 )
@@ -235,7 +233,7 @@ func (m *Machine) checkConsensus(now proto.Time, timedOut bool) {
 	m.commitWaiting = true
 	m.lastCommitSent = nil
 	m.commitRetries = 0
-	wait := time.Duration(m.cfg.CommitRetransmitLimit) * m.cfg.CommitRetransmitInterval
+	wait := commitRetransmitLimit * m.cfg.CommitRetransmitInterval
 	m.acts.SetTimer(proto.TimerID{Class: proto.TimerCommitRetransmit}, wait)
 }
 
@@ -281,6 +279,10 @@ func (m *Machine) forwardCommit(c *wire.CommitToken, myIdx int) {
 	m.acts.SetTimer(proto.TimerID{Class: proto.TimerCommitRetransmit}, m.cfg.CommitRetransmitInterval)
 }
 
+// commitRetransmitLimit bounds commit-token retries before the successor
+// is declared failed and Gather restarts.
+const commitRetransmitLimit = 5
+
 // onCommitTimeout retries the commit token and ultimately declares the
 // successor (or the silent representative) failed.
 func (m *Machine) onCommitTimeout(now proto.Time) {
@@ -298,7 +300,7 @@ func (m *Machine) onCommitTimeout(now proto.Time) {
 		return
 	}
 	m.commitRetries++
-	if m.commitRetries >= m.cfg.CommitRetransmitLimit {
+	if m.commitRetries >= commitRetransmitLimit {
 		m.enterGather(now, nil, newNodeSet(m.commitDest))
 		return
 	}

@@ -3,8 +3,8 @@ package srp
 import "github.com/totem-rrp/totem/internal/metrics"
 
 // counters holds the machine's resolved metric handles. Machines bump
-// these directly (one atomic add, no map lookup, no allocation); the
-// legacy Stats view and every external consumer read the same registry.
+// these directly (one atomic add, no map lookup, no allocation); every
+// consumer reads the same counters through the registry.
 type counters struct {
 	tokensReceived   *metrics.Counter
 	tokensSent       *metrics.Counter

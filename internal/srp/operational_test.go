@@ -150,8 +150,8 @@ func TestOnDataDeliversInOrderAndCountsDuplicates(t *testing.T) {
 		t.Fatalf("deliveries = %v", got)
 	}
 	m.onData(0, mkData(m, 1, 1, "first"))
-	if m.Stats().Duplicates != 1 {
-		t.Fatalf("Duplicates = %d", m.Stats().Duplicates)
+	if m.ctr.duplicates.Count() != 1 {
+		t.Fatalf("Duplicates = %d", m.ctr.duplicates.Count())
 	}
 }
 
@@ -231,8 +231,8 @@ func TestTokenRetransmitTimerResendsUntilEvidence(t *testing.T) {
 	if len(out.unicasts) != 1 {
 		t.Fatal("token not retransmitted")
 	}
-	if m.Stats().TokenRetransmits != 1 {
-		t.Fatalf("TokenRetransmits = %d", m.Stats().TokenRetransmits)
+	if m.ctr.tokenRetransmits.Count() != 1 {
+		t.Fatalf("TokenRetransmits = %d", m.ctr.tokenRetransmits.Count())
 	}
 	// Evidence: a data packet with a higher seq cancels retransmission.
 	m.onData(0, mkData(m, 3, 10, "evidence"))
@@ -250,9 +250,9 @@ func TestDuplicateTokenIgnored(t *testing.T) {
 	m, out, _ := operationalMachine(t, 2)
 	tok := &wire.Token{Ring: m.ring, Seq: 9, Rotation: 3}
 	m.onToken(0, tok)
-	first := m.Stats().TokensReceived
+	first := m.ctr.tokensReceived.Count()
 	m.onToken(0, &wire.Token{Ring: m.ring, Seq: 9, Rotation: 3})
-	if m.Stats().TokensReceived != first {
+	if m.ctr.tokensReceived.Count() != first {
 		t.Fatal("retransmitted token processed twice")
 	}
 	_ = out

@@ -17,11 +17,6 @@ import (
 type Config struct {
 	SRP srp.Config
 	RRP core.Config
-
-	// Metrics, when non-nil, is the registry both layers register their
-	// counters in; nil creates one per node. Layer-specific registries in
-	// SRP.Metrics/RRP.Metrics, when set, take precedence.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns defaults for a node on n redundant networks.
@@ -43,17 +38,11 @@ type Node struct {
 
 // New builds a node. The SRP's broadcasts and token unicasts are routed
 // through the replicator; packets the replicator passes up feed the SRP.
+// Both layers count into the node's one metrics registry.
 func New(cfg Config) (*Node, error) {
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	if cfg.SRP.Metrics == nil {
-		cfg.SRP.Metrics = reg
-	}
-	if cfg.RRP.Metrics == nil {
-		cfg.RRP.Metrics = reg
-	}
+	reg := metrics.NewRegistry()
+	cfg.SRP.Metrics = reg
+	cfg.RRP.Metrics = reg
 	n := &Node{met: reg}
 	rep, err := core.New(cfg.RRP, &n.acts, core.Callbacks{
 		Deliver: func(now proto.Time, data []byte) { n.srp.OnPacket(now, data) },
@@ -137,10 +126,10 @@ func (n *Node) SetProbe(fn proto.ProbeFunc) { n.acts.SetProbe(fn) }
 // Metrics returns the node's metric registry (safe for concurrent reads).
 func (n *Node) Metrics() *metrics.Registry { return n.met }
 
-// SRP exposes the ordering machine (read-only use: state, stats).
+// SRP exposes the ordering machine (read-only use: state, membership).
 func (n *Node) SRP() *srp.Machine { return n.srp }
 
-// Replicator exposes the RRP layer (read-only use: faults, stats).
+// Replicator exposes the RRP layer (fault flags, readmission).
 func (n *Node) Replicator() core.Replicator { return n.rep }
 
 // Backlog returns queued, unsent application messages.

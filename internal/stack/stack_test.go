@@ -173,7 +173,7 @@ func TestMissingCallbackWiring(t *testing.T) {
 	if !held {
 		t.Fatal("token with outstanding messages was not buffered (Missing callback broken)")
 	}
-	if got := n.SRP().Stats().TokensReceived; got != 0 {
+	if got := n.Metrics().Counter("srp.tokens_received").Count(); got != 0 {
 		t.Fatalf("token leaked into the SRP: %d", got)
 	}
 }

@@ -278,7 +278,7 @@ func (m Multi) Record(e Event) {
 }
 
 // Counter tallies events per kind — and Machine events per probe code —
-// for structured assertions in tests and the fault-injection harness.
+// for structured assertions in tests.
 type Counter struct {
 	mu     sync.Mutex
 	counts map[Kind]uint64

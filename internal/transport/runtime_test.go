@@ -106,8 +106,8 @@ func TestRuntimeSlowConsumerDoesNotStallRing(t *testing.T) {
 	}
 	// Membership must not have churned.
 	rts[1].Inspect(func(st *stack.Node) {
-		if st.SRP().Stats().TokenLosses != 0 {
-			t.Errorf("token losses while consumer was slow: %d", st.SRP().Stats().TokenLosses)
+		if v, _ := st.Metrics().Get("srp.token_losses"); v != 0 {
+			t.Errorf("token losses while consumer was slow: %d", v)
 		}
 	})
 }
@@ -151,8 +151,8 @@ func TestRuntimeInspectIsSerialisedWithEvents(t *testing.T) {
 	}()
 	for i := 0; i < 100; i++ {
 		rts[0].Inspect(func(st *stack.Node) {
-			_ = st.SRP().Stats()
-			_ = st.Replicator().Stats()
+			_ = st.SRP().Members()
+			_ = st.Replicator().Faulty()
 		})
 	}
 	<-done

@@ -223,10 +223,9 @@ type Options struct {
 	// and Shards > 1.
 	MarkerInterval time.Duration
 
-	// Bulk tunes the sender side of Node.SendBulk (chunk size, window,
-	// retry budget, submit workers). Receiver-side limits are in SRP
-	// (MaxBulkTransfer, MaxBulkPartials) and the lane's ring pacing in
-	// SRP.BulkMaxPerVisit / SRP.BulkYieldPerVisit.
+	// Bulk tunes the sender side of Node.SendBulk (submit workers). The
+	// receiver-side transfer size limit is SRP.MaxBulkTransfer and the
+	// lane's ring pacing SRP.BulkMaxPerVisit / SRP.BulkYieldPerVisit.
 	Bulk BulkOptions
 }
 
@@ -327,6 +326,12 @@ func NewNode(cfg Config, tr Transport) (*Node, error) {
 		cfg.Tune(&opts)
 		opts.SRP.ID = cfg.ID // the identity is not tunable
 	}
+	// Every shard runs the identical stack configuration, so validating it
+	// once up front is the only check that can fail.
+	scfg := stack.Config{SRP: opts.SRP, RRP: opts.RRP}
+	if err := errors.Join(scfg.SRP.Validate(), scfg.RRP.Validate()); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+	}
 	n := &Node{
 		id:         cfg.ID,
 		shards:     shards,
@@ -364,15 +369,9 @@ func NewNode(cfg Config, tr Transport) (*Node, error) {
 		tracer = n.ring
 	}
 	for i, port := range ports {
-		st, err := stack.New(stack.Config{SRP: opts.SRP, RRP: opts.RRP})
+		st, err := stack.New(scfg)
 		if err != nil {
-			if n.mux != nil {
-				n.mux.Close()
-			}
-			for _, rt := range n.rts {
-				rt.Close()
-			}
-			return nil, fmt.Errorf("%w: %v", ErrConfig, err)
+			panic(err) // unreachable: scfg was validated above
 		}
 		rt := transport.NewRuntime(st, port)
 		// The tracer observes shard 0 only: trace rings are written from
@@ -769,29 +768,6 @@ func (n *Node) Corrupt(sub string, seed int64) bool {
 	return n.rts[0].Mutate(func(now proto.Time, st *stack.Node) []proto.Action {
 		return st.Corrupt(now, sub, seed)
 	})
-}
-
-// Stats is a point-in-time snapshot of the node's protocol counters.
-type Stats struct {
-	// SRP counters (ordering layer).
-	SRP srp.Stats
-	// RRP counters (replication layer), including per-network traffic.
-	RRP core.Stats
-}
-
-// Stats returns a snapshot of the protocol counters (shard 0's on a
-// multi-shard node; see StatsOf).
-func (n *Node) Stats() Stats { return n.StatsOf(0) }
-
-// StatsOf returns a snapshot of shard s's protocol counters. It panics
-// if s is out of [0, Shards()), like a slice index.
-func (n *Node) StatsOf(s int) Stats {
-	var out Stats
-	n.rts[s].Inspect(func(st *stack.Node) {
-		out.SRP = st.SRP().Stats()
-		out.RRP = st.Replicator().Stats()
-	})
-	return out
 }
 
 // Metrics returns the node's metric registry: every layer's named
