@@ -127,6 +127,9 @@ func run(id uint32, listen, httpAddr, dataDir string, peers, peerHTTP stringList
 		ID:          totem.NodeID(id),
 		Networks:    len(cfg.Listen),
 		Replication: totem.Passive,
+		// An ack must survive the acking member's crash: Safe delivery
+		// applies a record only once every member holds it.
+		Delivery: totem.Safe,
 		Tune: func(o *totem.Options) {
 			if epoch > o.SRP.InitialEpoch {
 				o.SRP.InitialEpoch = epoch

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/totem-rrp/totem/internal/logd/logtest"
+	"github.com/totem-rrp/totem/internal/proto"
 	"github.com/totem-rrp/totem/logdclient"
 )
 
@@ -218,5 +219,40 @@ func TestLogdUnderFaultsSoak(t *testing.T) {
 		t.Fatal("soak acknowledged nothing")
 	}
 	t.Logf("soak: %d acks, %d transient failures", acked.Load(), failed.Load())
+	verifyEverywhere(t, c, ck)
+}
+
+// TestLogdColdStartAfterSplitBoot restarts the whole cluster with every
+// member cut off from the others, so each orders its sync marker in a
+// singleton configuration no other member ever sees, then heals the
+// networks before the cold-start timeout. The members' delivery streams
+// therefore differ from their very first entry; every member must still
+// hold the identical log.
+func TestLogdColdStartAfterSplitBoot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-cluster cold start is not a -short test")
+	}
+	c := newTestCluster(t, 4)
+	logtest.Run(t, c.Endpoints(), logtest.RunOptions{Clients: 2, Appends: 5, Prefix: "before"})
+	for i := 0; i < 4; i++ {
+		c.Kill(i)
+	}
+	alone := map[proto.NodeID]int{1: 1, 2: 2, 3: 3, 4: 4}
+	for n := 0; n < c.opt.Networks; n++ {
+		c.Netem().Partition(n, alone)
+	}
+	for i := 0; i < 4; i++ {
+		if err := c.Restart(i); err != nil {
+			t.Fatalf("Restart(%d): %v", i, err)
+		}
+	}
+	time.Sleep(500 * time.Millisecond) // singleton rings order the markers
+	for n := 0; n < c.opt.Networks; n++ {
+		c.Netem().Partition(n, nil)
+	}
+	if err := c.WaitLive(60 * time.Second); err != nil {
+		t.Fatalf("cluster never went live after the split boot: %v", err)
+	}
+	ck := logtest.Run(t, c.Endpoints(), logtest.RunOptions{Clients: 2, Appends: 5, Prefix: "after"})
 	verifyEverywhere(t, c, ck)
 }

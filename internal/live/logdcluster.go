@@ -163,6 +163,7 @@ func (c *LogdCluster) startMember(m *logdMember) error {
 		ID:          m.id,
 		Networks:    c.opt.Networks,
 		Replication: proto.ReplicationPassive,
+		Delivery:    totem.Safe, // as cmd/totemlogd: acks survive the acking member's crash
 		Tune: func(o *totem.Options) {
 			c.tune(o)
 			if epoch > o.SRP.InitialEpoch {

@@ -1,6 +1,8 @@
 package logd
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -27,13 +29,14 @@ import (
 // it was down from the ring alone, so before going live it runs the
 // catch-up protocol: order a sync marker through the ring, ask live
 // peers (GET /v1/sync) where the marker applied, fetch the missing
-// prefix (GET /v1/read) into the store, then start applying deliveries —
-// the per-client dedup table absorbs the overlap between fetched records
-// and buffered deliveries. When the whole cluster restarts at once there
-// are no live peers; after ColdStartTimeout with every reachable peer
-// also catching up, members align to the maximum durable tail among them
-// (safe because an acked record was fsynced by its origin before the
-// ack) and go live together.
+// prefix (GET /v1/read) into the store, then apply deliveries from just
+// after the marker copy the peer applied — the per-client dedup table
+// absorbs the overlap between fetched records and buffered deliveries.
+// When the whole cluster restarts at once there are no live peers; after
+// ColdStartTimeout with every reachable peer also catching up, the
+// lowest-named reachable member aligns to the maximum durable tail among
+// them (safe because an acked record was fsynced by its origin before the
+// ack) and goes live, and the others sync through it.
 
 // SyncClientPrefix namespaces the reserved client ids sync markers use.
 // The front door rejects client ids that collide with it.
@@ -284,11 +287,23 @@ const applyBatchMax = 64
 
 func (s *Server) applyLoop() {
 	defer s.wg.Done()
-	if !s.catchUp() {
+	resume, ok := s.catchUp()
+	if !ok {
 		return // closed mid-catch-up
 	}
 	s.live.Store(true)
 	s.logf("logd %s: live at offset %d", s.opt.NodeID, s.store.Next())
+	// keep skips the delivery stream through the sync-marker copy catch-up
+	// synced to (see syncTo).
+	keep := func(d totem.Delivery) bool {
+		if resume == nil {
+			return true
+		}
+		if bytes.Equal(d.Payload, resume) {
+			resume = nil
+		}
+		return false
+	}
 	deliveries := s.node.Deliveries()
 	var batch []totem.Delivery
 	for {
@@ -302,7 +317,10 @@ func (s *Server) applyLoop() {
 		if !ok {
 			return
 		}
-		batch = append(batch[:0], d)
+		batch = batch[:0]
+		if keep(d) {
+			batch = append(batch, d)
+		}
 	drain:
 		for len(batch) < applyBatchMax {
 			select {
@@ -310,7 +328,9 @@ func (s *Server) applyLoop() {
 				if !ok2 {
 					break drain
 				}
-				batch = append(batch, d2)
+				if keep(d2) {
+					batch = append(batch, d2)
+				}
 			default:
 				break drain
 			}
@@ -374,76 +394,145 @@ func (s *Server) appliedWait() <-chan struct{} {
 
 // catchUp blocks until this member's store has every offset the cluster
 // assigned while it was down, so the apply loop can resume at the right
-// position. Returns false only when the server closed.
-func (s *Server) catchUp() bool {
+// position. It returns the envelope of the sync-marker copy the apply loop
+// must skip its delivery stream through (nil: apply the stream from its
+// start), and false only when the server closed.
+func (s *Server) catchUp() (resume []byte, ok bool) {
 	if len(s.opt.Peers) == 0 {
-		return true // standalone: the local tail is the log
+		return nil, true // standalone: the local tail is the log
 	}
 	markerClient := SyncClientPrefix + s.opt.NodeID
 	markerSeq := s.store.Boot()
-	env := AppendEnvelope(nil, KindSync, markerClient, markerSeq, nil)
-	if !s.sendWithRetry(env) {
-		return false
+	// Each copy of the marker carries its own send count, so the copy a
+	// peer applied names exactly one position in this member's stream.
+	var sends uint64
+	send := func() bool {
+		sends++
+		nonce := binary.BigEndian.AppendUint64(nil, sends)
+		return s.sendWithRetry(AppendEnvelope(nil, KindSync, markerClient, markerSeq, nonce))
+	}
+	if !send() {
+		return nil, false
 	}
 	start := time.Now()
 	lastResend := start
 	for {
 		select {
 		case <-s.closed:
-			return false
+			return nil, false
 		default:
 		}
 		liveSeen := false
-		unreachable := 0
 		for _, peer := range s.opt.Peers {
 			off, status, err := s.peerSync(peer, markerClient, markerSeq)
 			switch {
 			case err != nil:
-				unreachable++
+				// unreachable
 			case status == http.StatusOK:
 				s.logf("logd %s: sync marker at offset %d (via %s)", s.opt.NodeID, off, peer)
-				return s.fetchUpTo(off)
+				return s.syncTo(off, markerClient, markerSeq)
 			case status == http.StatusTooEarly:
 				// peer is catching up too
 			default:
 				liveSeen = true // live but marker not applied there yet
 			}
 		}
+		again := false // sync again at once instead of sleeping
 		if !liveSeen && time.Since(start) > s.opt.ColdStartTimeout {
 			// No live peer anywhere: the whole cluster is (re)starting.
-			// Align to the maximum durable tail among self and reachable
-			// peers — acked records were fsynced by their origin, so the
-			// max durable tail covers every acknowledgement ever issued
-			// (when every member is reachable; the timeout is the
-			// operator's escape hatch past a permanently dead member).
+			// Exactly one member goes live on its own — the lowest-named
+			// among itself and the reachable peers — aligned to the
+			// maximum durable tail among them: acked records were fsynced
+			// by their origin, so that tail covers every acknowledgement
+			// ever issued (when every member is reachable; the timeout is
+			// the operator's escape hatch past a permanently dead member).
+			// Every other member syncs through it like a restarted one.
+			// Members aligning side by side would each apply their own
+			// delivery stream from offset 0, and those streams differ
+			// whenever a member delivered in a configuration the others
+			// never saw (a singleton ring at boot): the log would fork.
 			target := s.store.Next()
-			reachable := 0
+			reachable, anyLive := 0, false
+			leaderID, leader := s.opt.NodeID, ""
 			for _, peer := range s.opt.Peers {
-				if st, err := s.peerStatus(peer); err == nil {
-					reachable++
-					if st.Next > target {
-						target = st.Next
-					}
+				st, err := s.peerStatus(peer)
+				if err != nil {
+					continue
+				}
+				reachable++
+				anyLive = anyLive || st.Live
+				if st.Next > target {
+					target = st.Next
+				}
+				if st.ID < leaderID {
+					leaderID, leader = st.ID, peer
 				}
 			}
-			if reachable > 0 || time.Since(start) > 2*s.opt.ColdStartTimeout {
+			switch {
+			case anyLive:
+				// A peer went live since the sync round: sync through it.
+				again = true
+			case leader != "":
+				if !s.awaitLive(leader) {
+					return nil, false
+				}
+				again = true
+			case reachable > 0 || time.Since(start) > 2*s.opt.ColdStartTimeout:
 				s.logf("logd %s: cold-start alignment to tail %d (%d/%d peers reachable)",
 					s.opt.NodeID, target, reachable, len(s.opt.Peers))
-				return s.fetchUpTo(target)
+				return nil, s.fetchUpTo(target)
 			}
 		}
 		if time.Since(lastResend) > 2*time.Second {
 			// The marker may have been lost to a membership change while
-			// queued; re-ordering it is idempotent (same client+seq).
-			if !s.sendWithRetry(env) {
-				return false
+			// queued, or ordered in a configuration no live peer saw;
+			// re-ordering it is idempotent (same client+seq).
+			if !send() {
+				return nil, false
 			}
 			lastResend = time.Now()
 		}
-		if !s.sleep(200 * time.Millisecond) {
+		if !again && !s.sleep(200*time.Millisecond) {
+			return nil, false
+		}
+	}
+}
+
+// syncTo ingests the log through the sync marker a peer applied at off
+// and returns that marker copy's envelope. This member's own delivery
+// stream holds the same copy, ordered in the same configuration as at
+// the peer, so the deliveries after it are the ones the peer applied after
+// off, in the same order. The ones before it are either in the fetched
+// prefix already or were ordered where the peer never saw them, and
+// applying those would fork the log.
+func (s *Server) syncTo(off uint64, client string, seq uint64) ([]byte, bool) {
+	if !s.fetchUpTo(off + 1) {
+		return nil, false
+	}
+	recs, err := s.store.Read(off, 1, 0)
+	if err != nil || len(recs) == 0 || recs[0].Kind != KindSync || recs[0].Client != client || recs[0].Seq != seq {
+		s.logf("logd %s: offset %d does not hold this member's sync marker (%v); applying deliveries from the stream's start",
+			s.opt.NodeID, off, err)
+		return nil, true
+	}
+	return AppendEnvelope(nil, KindSync, client, seq, recs[0].Payload), true
+}
+
+// awaitLive polls peer until it reports live, for at most the cold-start
+// timeout, so a member waiting on the cold-start leader syncs within a
+// poll of the leader going live. Returns false only when the server
+// closed.
+func (s *Server) awaitLive(peer string) bool {
+	deadline := time.Now().Add(s.opt.ColdStartTimeout)
+	for time.Now().Before(deadline) {
+		if st, err := s.peerStatus(peer); err != nil || st.Live {
+			return true
+		}
+		if !s.sleep(5 * time.Millisecond) {
 			return false
 		}
 	}
+	return true
 }
 
 // sendWithRetry queues env on the ring, retrying past backpressure.

@@ -39,6 +39,9 @@ type CancelTimer struct {
 }
 
 // Deliver hands a totally-ordered application message up to the user.
+//
+// Deliver travels as *Deliver, pooled the way *SendPacket is: a driver
+// must copy Msg before recycling the batch.
 type Deliver struct {
 	Msg Delivery
 }
@@ -70,7 +73,7 @@ type BulkSignal struct {
 func (*SendPacket) isAction()  {}
 func (SetTimer) isAction()     {}
 func (CancelTimer) isAction()  {}
-func (Deliver) isAction()      {}
+func (*Deliver) isAction()     {}
 func (Fault) isAction()        {}
 func (FaultCleared) isAction() {}
 func (Config) isAction()       {}
@@ -207,6 +210,7 @@ type Actions struct {
 	list   []Action
 	free   [][]Action
 	spFree []*SendPacket
+	dFree  []*Deliver
 	// probe, when non-nil, receives typed in-machine events (see probe.go).
 	// Kept here so every machine layer sharing the buffer shares the hook.
 	probe ProbeFunc
@@ -249,7 +253,15 @@ func (a *Actions) CancelTimer(id TimerID) {
 // Deliver appends a Deliver action.
 func (a *Actions) Deliver(d Delivery) {
 	a.grab()
-	a.list = append(a.list, Deliver{Msg: d})
+	var dv *Deliver
+	if n := len(a.dFree); n > 0 {
+		dv = a.dFree[n-1]
+		a.dFree = a.dFree[:n-1]
+	} else {
+		dv = new(Deliver)
+	}
+	dv.Msg = d
+	a.list = append(a.list, dv)
 }
 
 // Fault appends a Fault action.
@@ -289,19 +301,29 @@ func (a *Actions) Drain() []Action {
 	return out
 }
 
+// maxFreeActions bounds each pooled-action free list.
+const maxFreeActions = 256
+
 // Recycle returns a batch obtained from Drain once the driver has finished
-// executing it. The backing array is cleared (so recycled batches do not
-// pin packet buffers or payloads) and reused by a later emission. Callers
-// must not touch the batch afterwards.
+// executing it. The backing array is cleared and the pooled *SendPacket
+// and *Deliver objects are zeroed (so recycled batches do not pin packet
+// buffers or payloads) and reused by later emissions. Callers must not
+// touch the batch afterwards.
 func (a *Actions) Recycle(batch []Action) {
 	if cap(batch) == 0 {
 		return
 	}
 	for _, act := range batch {
-		if sp, ok := act.(*SendPacket); ok {
-			sp.Data = nil
-			if len(a.spFree) < 256 {
-				a.spFree = append(a.spFree, sp)
+		switch act := act.(type) {
+		case *SendPacket:
+			act.Data = nil
+			if len(a.spFree) < maxFreeActions {
+				a.spFree = append(a.spFree, act)
+			}
+		case *Deliver:
+			act.Msg = Delivery{}
+			if len(a.dFree) < maxFreeActions {
+				a.dFree = append(a.dFree, act)
 			}
 		}
 	}

@@ -134,7 +134,7 @@ func TestActionsBufferAccumulatesAndDrains(t *testing.T) {
 	if _, ok := got[2].(CancelTimer); !ok {
 		t.Fatalf("action 2 is %T", got[2])
 	}
-	if d, ok := got[3].(Deliver); !ok || d.Msg.Seq != 2 {
+	if d, ok := got[3].(*Deliver); !ok || d.Msg.Seq != 2 {
 		t.Fatalf("action 3 is %#v", got[3])
 	}
 	if _, ok := got[4].(Fault); !ok {
@@ -162,6 +162,32 @@ func TestActionsRecycleReusesBackingArray(t *testing.T) {
 	}
 	if sp, ok := next[0].(*SendPacket); !ok || sp.Dest != 2 {
 		t.Fatalf("recycled batch carries wrong action: %#v", next[0])
+	}
+}
+
+// TestActionsDeliverRecycleAllocs: deliveries are pooled like sends, so a
+// steady stream of Deliver + Recycle allocates nothing, and a recycled
+// *Deliver pins no payload.
+func TestActionsDeliverRecycleAllocs(t *testing.T) {
+	var a Actions
+	payload := []byte("payload")
+	var last *Deliver
+	allocs := testing.AllocsPerRun(100, func() {
+		for seq := uint32(1); seq <= 4; seq++ {
+			a.Deliver(Delivery{Sender: 1, Seq: seq, Payload: payload})
+		}
+		batch := a.Drain()
+		last = batch[3].(*Deliver)
+		if last.Msg.Seq != 4 {
+			t.Fatalf("delivery seq %d, want 4", last.Msg.Seq)
+		}
+		a.Recycle(batch)
+	})
+	if allocs != 0 {
+		t.Fatalf("Deliver + Recycle: %v allocs, want 0", allocs)
+	}
+	if last.Msg.Payload != nil || last.Msg.Seq != 0 {
+		t.Fatalf("recycled Deliver still holds %+v", last.Msg)
 	}
 }
 

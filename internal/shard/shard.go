@@ -15,6 +15,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"github.com/totem-rrp/totem/internal/proto"
 )
 
 // Hash maps a key to a shard in [0, shards) with FNV-1a. It is the
@@ -43,6 +45,10 @@ const (
 	KindApp byte = 0x01
 	// KindMarker tags an idle-shard cut-advancement message.
 	KindMarker byte = 0x02
+	// KindFloor tags a floor announcement: the stamp is the sender's cut
+	// on the shard and the body names the configuration it opens (see
+	// Merge.Begin).
+	KindFloor byte = 0x03
 	// EnvOverhead is the envelope cost: kind(1) + lamport(8).
 	EnvOverhead = 9
 )
@@ -67,6 +73,28 @@ func WrapMarker(ts uint64) []byte {
 	return buf
 }
 
+// WrapFloor builds the floor announcement for configuration ring: the
+// sender's cut on the shard, as of the first delivery it saw in ring.
+func WrapFloor(cut uint64, ring proto.RingID) []byte {
+	buf := make([]byte, EnvOverhead+8)
+	buf[0] = KindFloor
+	binary.BigEndian.PutUint64(buf[1:], cut)
+	binary.BigEndian.PutUint32(buf[EnvOverhead:], uint32(ring.Rep))
+	binary.BigEndian.PutUint32(buf[EnvOverhead+4:], ring.Epoch)
+	return buf
+}
+
+// FloorRing decodes the configuration a floor announcement's body names.
+func FloorRing(body []byte) (proto.RingID, error) {
+	if len(body) != 8 {
+		return proto.RingID{}, fmt.Errorf("%w: floor body of %d bytes", ErrEnvelope, len(body))
+	}
+	return proto.RingID{
+		Rep:   proto.NodeID(binary.BigEndian.Uint32(body)),
+		Epoch: binary.BigEndian.Uint32(body[4:]),
+	}, nil
+}
+
 // Unwrap splits a CrossOrder payload into kind, Lamport stamp, and the
 // application bytes (nil for markers).
 func Unwrap(data []byte) (byte, uint64, []byte, error) {
@@ -74,7 +102,7 @@ func Unwrap(data []byte) (byte, uint64, []byte, error) {
 		return 0, 0, nil, fmt.Errorf("%w: %d bytes", ErrEnvelope, len(data))
 	}
 	kind := data[0]
-	if kind != KindApp && kind != KindMarker {
+	if kind != KindApp && kind != KindMarker && kind != KindFloor {
 		return 0, 0, nil, fmt.Errorf("%w: kind %#02x", ErrEnvelope, kind)
 	}
 	return kind, binary.BigEndian.Uint64(data[1:]), data[EnvOverhead:], nil
@@ -137,10 +165,39 @@ type entry struct {
 // shard s' can't once lastEff[s'] > t, or lastEff[s'] == t with s' > s.
 // Idle shards are kept live by periodic markers advancing lastEff.
 //
+// Totem makes a shard's delivered prefix identical only among the
+// members of one configuration. A member that delivered in a
+// configuration the others never saw (its own messages in a singleton
+// ring while the shard was cut off) carries a higher running max into the
+// next configuration and would order the messages they share
+// differently. So the running max is agreed afresh at every regular
+// configuration: at its first delivery each member announces its cut
+// (Begin returns it; the caller broadcasts it with WrapFloor), the
+// shard's items are held, and once every member's floor has been
+// delivered the shard's cut is raised to the largest one — the same value
+// at every member, and no lower than any member's own cut, so effective
+// timestamps stay monotone — before the held items enter the queue. A
+// configuration that breaks first hands its held items on to the next
+// agreement (Begin). What this does not cover: members that leave a
+// configuration into different transitional configurations may deliver
+// its last messages with different gaps before them, and a message they
+// share there can still get different effective stamps.
+//
 // Merge is not concurrency-safe; the owner serialises access.
 type Merge struct {
 	queues  []fifo
 	lastEff []uint64
+	floors  []floorRound
+}
+
+// floorRound is one shard's floor agreement for the configuration its
+// latest regular delivery belongs to.
+type floorRound struct {
+	ring    proto.RingID
+	members []proto.NodeID // nil: unknown; settled by the next Begin
+	got     map[proto.NodeID]uint64
+	held    []Item
+	open    bool
 }
 
 // NewMerge returns a merge over shards streams.
@@ -148,11 +205,85 @@ func NewMerge(shards int) *Merge {
 	return &Merge{
 		queues:  make([]fifo, shards),
 		lastEff: make([]uint64, shards),
+		floors:  make([]floorRound, shards),
 	}
+}
+
+// Ring returns the configuration of shard s's latest Begin.
+func (m *Merge) Ring(s int) proto.RingID { return m.floors[s].ring }
+
+// Begin opens the floor agreement for shard s's regular configuration
+// ring, whose members the caller read from the shard's ring (nil when the
+// ring had already moved past it: the agreement then cannot complete).
+// An agreement still open on the shard — its configuration broke before
+// every floor was delivered — does not settle: its held items ride into
+// this one, ahead of ring's items. Begin returns the floor this node must
+// announce in ring: its cut on the shard, or the largest stamp among the
+// items carried in if that is higher, so the agreed floor covers every
+// member's carried items and they all take it as their effective stamp.
+func (m *Merge) Begin(s int, ring proto.RingID, members []proto.NodeID) uint64 {
+	f := &m.floors[s]
+	floor := m.lastEff[s]
+	held := f.held[:0]
+	if f.open {
+		held = f.held
+		for _, it := range held {
+			if it.TS > floor {
+				floor = it.TS
+			}
+		}
+	}
+	*f = floorRound{ring: ring, members: members, got: make(map[proto.NodeID]uint64), held: held, open: true}
+	return floor
+}
+
+// Floor records member from's floor announcement for configuration ring,
+// delivered on shard s, and releases the shard's held items once every
+// member's floor is in.
+func (m *Merge) Floor(s int, ring proto.RingID, from proto.NodeID, floor uint64) {
+	f := &m.floors[s]
+	if !f.open || ring != f.ring {
+		return // a stale announcement, or one for a settled agreement
+	}
+	f.got[from] = floor
+	if f.members == nil {
+		return
+	}
+	for _, id := range f.members {
+		if _, ok := f.got[id]; !ok {
+			return
+		}
+	}
+	m.settle(s)
+}
+
+// settle raises shard s's cut to the largest floor delivered and feeds
+// the held items into the queue.
+func (m *Merge) settle(s int) {
+	f := &m.floors[s]
+	for _, fl := range f.got {
+		if fl > m.lastEff[s] {
+			m.lastEff[s] = fl
+		}
+	}
+	f.open = false
+	for i, it := range f.held {
+		m.push(s, it)
+		f.held[i] = Item{}
+	}
+	f.held = f.held[:0]
 }
 
 // Push appends the next delivered item of shard s.
 func (m *Merge) Push(s int, it Item) {
+	if f := &m.floors[s]; f.open {
+		f.held = append(f.held, it)
+		return
+	}
+	m.push(s, it)
+}
+
+func (m *Merge) push(s int, it Item) {
 	eff := it.TS
 	if m.lastEff[s] > eff {
 		eff = m.lastEff[s]
@@ -199,12 +330,13 @@ func (m *Merge) Pop() (Item, int, bool) {
 	}
 }
 
-// Pending reports the number of queued (unreleased) items, markers
-// included — the merge's hold-back depth, surfaced as a gauge.
+// Pending reports the number of queued (unreleased) items, markers and
+// items held for a floor agreement included — the merge's hold-back
+// depth, surfaced as a gauge.
 func (m *Merge) Pending() int {
 	n := 0
 	for i := range m.queues {
-		n += m.queues[i].len()
+		n += m.queues[i].len() + len(m.floors[i].held)
 	}
 	return n
 }

@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"github.com/totem-rrp/totem/internal/proto"
 )
 
 func TestHashRangeAndStability(t *testing.T) {
@@ -235,5 +237,138 @@ func TestMergePendingAndFIFOReuse(t *testing.T) {
 	}
 	if m.Pending() != 0 {
 		t.Fatalf("Pending = %d after full drain", m.Pending())
+	}
+}
+
+// partitionedMember replays one member's view of a partition on shard 0:
+// a common prefix, then the member's own message stamped alone (delivered
+// only in its singleton ring; nil for the other member), then a
+// configuration c whose shard-0 stream both members deliver identically,
+// floor announcements included. Shard 1 is common throughout, and its
+// items are pushed after the shard-0 item at index shard1After, so the
+// two members see different real-time interleavings. agree turns the
+// floor agreement on. It returns the released payloads.
+func partitionedMember(alone []Item, floors map[proto.NodeID]uint64, shard1After int, agree bool) (out []string, floor uint64) {
+	c := proto.RingID{Rep: 1, Epoch: 9}
+	m := NewMerge(2)
+	shard1 := []Item{{TS: 2, Payload: "b0"}, {TS: 10, Payload: "b1"}, {TS: 60, Payload: "b2"}, {TS: 100, Marker: true}}
+	push0 := []func(){
+		func() { m.Push(0, Item{TS: 1, Payload: "a0"}) },
+		func() {
+			for _, it := range alone {
+				m.Push(0, it)
+			}
+		},
+		func() {
+			if agree {
+				floor = m.Begin(0, c, []proto.NodeID{1, 2})
+			}
+		},
+		func() { m.Push(0, Item{TS: 3, Payload: "x1"}) },
+		func() {
+			if agree {
+				m.Floor(0, c, 1, floors[1])
+				m.Floor(0, c, 2, floors[2])
+			}
+		},
+		func() { m.Push(0, Item{TS: 4, Payload: "x2"}) },
+		func() { m.Push(0, Item{TS: 100, Marker: true}) },
+	}
+	drain := func() {
+		for {
+			it, _, ok := m.Pop()
+			if !ok {
+				return
+			}
+			out = append(out, it.Payload.(string))
+		}
+	}
+	for i, f := range push0 {
+		f()
+		if i == shard1After {
+			for _, it := range shard1 {
+				m.Push(1, it)
+			}
+		}
+		drain()
+	}
+	return out, floor
+}
+
+// common keeps the payloads both members delivered.
+func common(seq []string) []string {
+	var out []string
+	for _, p := range seq {
+		if p != "alone" {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestMergeFloorAgreementAfterPartition: member 1 delivered a message
+// stamped 50 alone, in a singleton ring member 2 never saw. Without the
+// floor agreement its running max carries 50 into the shared
+// configuration and the two members order the messages they share
+// differently; with it both raise the cut to the largest floor and agree.
+func TestMergeFloorAgreementAfterPartition(t *testing.T) {
+	alone := []Item{{TS: 50, Payload: "alone"}}
+	// Each member's floor is its cut at Begin: read it off a first pass.
+	_, f1 := partitionedMember(alone, nil, 0, true)
+	_, f2 := partitionedMember(nil, nil, 0, true)
+	if f1 != 50 || f2 != 1 {
+		t.Fatalf("floors %d, %d; want 50 (member 1's singleton message) and 1", f1, f2)
+	}
+	floors := map[proto.NodeID]uint64{1: f1, 2: f2}
+
+	plain1, _ := partitionedMember(alone, floors, 0, false)
+	plain2, _ := partitionedMember(nil, floors, 5, false)
+	if reflect.DeepEqual(common(plain1), common(plain2)) {
+		t.Fatalf("without the floor agreement the members should disagree: %v vs %v", plain1, plain2)
+	}
+	for _, after := range []int{0, 3, 5} {
+		got1, _ := partitionedMember(alone, floors, after, true)
+		got2, _ := partitionedMember(nil, floors, 6-after, true)
+		if !reflect.DeepEqual(common(got1), common(got2)) {
+			t.Fatalf("interleaving %d: members disagree on the shared order: %v vs %v", after, got1, got2)
+		}
+		if len(common(got1)) != 6 {
+			t.Fatalf("interleaving %d: released %v, want all six shared items", after, got1)
+		}
+	}
+}
+
+// TestMergeFloorCarriesBrokenConfiguration: an agreement whose
+// configuration breaks before every floor is delivered does not settle;
+// its held items ride into the next configuration's agreement, and this
+// member's floor there covers their stamps.
+func TestMergeFloorCarriesBrokenConfiguration(t *testing.T) {
+	m := NewMerge(1)
+	c1, c2 := proto.RingID{Rep: 1, Epoch: 1}, proto.RingID{Rep: 1, Epoch: 2}
+	if floor := m.Begin(0, c1, []proto.NodeID{1, 2}); floor != 0 {
+		t.Fatalf("first floor %d, want 0", floor)
+	}
+	m.Push(0, Item{TS: 30, Payload: "carried"})
+	m.Floor(0, c1, 2, 40)
+	m.Floor(0, c2, 1, 90) // another configuration's: ignored
+	if _, _, ok := m.Pop(); ok || m.Pending() != 1 {
+		t.Fatalf("released before the agreement settled (pending %d)", m.Pending())
+	}
+	// c1 broke with member 1's floor undelivered: its item is carried.
+	if floor := m.Begin(0, c2, []proto.NodeID{1}); floor != 30 {
+		t.Fatalf("floor with a carried item stamped 30 = %d, want 30", floor)
+	}
+	m.Push(0, Item{TS: 5, Payload: "after"})
+	if _, _, ok := m.Pop(); ok {
+		t.Fatal("released before c2's agreement settled")
+	}
+	m.Floor(0, c2, 1, 30)
+	for _, want := range []string{"carried", "after"} {
+		if it, _, ok := m.Pop(); !ok || it.Payload.(string) != want {
+			t.Fatalf("want %q released once c2 settled: %v %v", want, it, ok)
+		}
+	}
+	if m.Cut(0) != 30 {
+		t.Fatalf("Cut after settling = %d, want the agreed floor 30", m.Cut(0))
 	}
 }

@@ -584,7 +584,7 @@ func (n *Node) execute(now proto.Time, actions []proto.Action) {
 			})
 		case proto.CancelTimer:
 			delete(n.timers, act.ID)
-		case proto.Deliver:
+		case *proto.Deliver:
 			n.cpuBusy += n.cluster.cfg.Host.DeliverCost
 			if c.tracing {
 				c.cfg.Trace.Record(trace.Event{

@@ -9,7 +9,6 @@
 package sim
 
 import (
-	"container/heap"
 	"time"
 
 	"github.com/totem-rrp/totem/internal/proto"
@@ -22,24 +21,62 @@ type event struct {
 	fn  func()
 }
 
+// before is the queue order: by time, FIFO among simultaneous events.
+// (at, seq) is unique per event, so the order is total and the pop order
+// is fully determined.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of events, hand-written over the concrete
+// type so the scheduler's hottest loop makes no interface calls.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (h *eventHeap) push(e *event) {
+	q := append(*h, e)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
+	q[i] = e
+	*h = q
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) pop() *event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && q[r].before(q[c]) {
+				c = r
+			}
+			if !q[c].before(last) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
 }
 
 // Simulator owns the virtual clock and event queue. Executed events are
@@ -74,7 +111,7 @@ func (s *Simulator) At(t proto.Time, fn func()) {
 		e = new(event)
 	}
 	e.at, e.seq, e.fn = t, s.seq, fn
-	heap.Push(&s.events, e)
+	s.events.push(e)
 }
 
 // After schedules fn d after the current time.
@@ -87,7 +124,7 @@ func (s *Simulator) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.events).(*event)
+	e := s.events.pop()
 	s.now = e.at
 	fn := e.fn
 	// Recycle before running: e is off the heap and fn may schedule.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -35,6 +36,62 @@ func TestSimulatorFIFOAmongSimultaneousEvents(t *testing.T) {
 		if v != i {
 			t.Fatalf("simultaneous events reordered: %v", got)
 		}
+	}
+}
+
+// TestSimulatorPopOrderIsTotal drives the heap with random times, many of
+// them tied, while executed events schedule more: every event must run in
+// (time, scheduling order) order, the total order the scheduler promises.
+func TestSimulatorPopOrderIsTotal(t *testing.T) {
+	s := NewSimulator()
+	rng := rand.New(rand.NewSource(1))
+	type stamp struct {
+		at  proto.Time
+		seq int
+	}
+	var ran []stamp
+	scheduled := 0
+	var schedule func(depth int)
+	schedule = func(depth int) {
+		at := s.Now() + time.Duration(rng.Intn(8))*time.Millisecond
+		seq := scheduled
+		scheduled++
+		s.At(at, func() {
+			ran = append(ran, stamp{at, seq})
+			if depth < 3 && rng.Intn(2) == 0 {
+				schedule(depth + 1)
+			}
+		})
+	}
+	for i := 0; i < 500; i++ {
+		schedule(0)
+	}
+	s.Run(time.Hour)
+	if len(ran) != scheduled {
+		t.Fatalf("ran %d of %d events", len(ran), scheduled)
+	}
+	for i := 1; i < len(ran); i++ {
+		p, c := ran[i-1], ran[i]
+		if c.at < p.at || (c.at == p.at && c.seq < p.seq) {
+			t.Fatalf("event %d ran at %v after event %d at %v", c.seq, c.at, p.seq, p.at)
+		}
+	}
+}
+
+// TestSimulatorScheduleAllocs pins the steady-state scheduler: pooled
+// events on a typed heap, so At + Step allocate nothing.
+func TestSimulatorScheduleAllocs(t *testing.T) {
+	s := NewSimulator()
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		s.After(time.Duration(i), fn)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.After(time.Millisecond, fn)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At + Step: %v allocs, want 0", allocs)
 	}
 }
 

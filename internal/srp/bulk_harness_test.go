@@ -367,3 +367,90 @@ func TestBulkBuffersRecycledAfterPrune(t *testing.T) {
 		t.Fatalf("free list overgrew its cap: %d", free)
 	}
 }
+
+// TestBulkBackToBackFragmentedTransfersRecycleEnvelopes streams transfers
+// back to back through one sender in chunks too large for one packet, so
+// every envelope is fragmented and reassembled from aliases of the
+// envelope buffers, under loss. The sender keeps its queue short and
+// draws envelopes from the free list as soon as prune refills it, so
+// recycled buffers are rewritten while later envelopes are still in
+// flight. Every member —
+// the sender by self-delivery too — must deliver every transfer
+// byte-exact, in order.
+func TestBulkBackToBackFragmentedTransfersRecycleEnvelopes(t *testing.T) {
+	h := newHarness(t, 3, nil)
+	h.start()
+	h.waitRing(2 * time.Second)
+
+	const transfers, size, chunk = 6, 24000, 3000 // 3000 B envelopes span three packets
+	payloads := make([][]byte, transfers)
+	for x := range payloads {
+		payloads[x] = bulkPayload(size)
+		for i := range payloads[x] {
+			payloads[x][i] += byte(17 * (x + 1))
+		}
+	}
+	// Losing every seventh first transmission makes each member's delivery
+	// — the sender's self-delivery included — lag behind the sends, and
+	// makes the sender serve retransmissions from its retained packets.
+	lost := 0
+	h.drop = func(_, _ proto.NodeID, data []byte) bool {
+		if k, _ := wire.PeekKind(data); k != wire.KindData {
+			return false
+		}
+		if f, _ := wire.PeekDataFlags(data); f&wire.FlagRetrans != 0 {
+			return false
+		}
+		lost++
+		return lost%7 == 0
+	}
+	n1 := h.machines[1]
+	next, reused, tick := 0, 0, 0 // next counts submitted chunks
+	perTransfer := size / chunk
+	done := func() bool {
+		for _, nid := range h.order {
+			if len(bulkDeliveries(h.machines[nid])) < transfers {
+				return false
+			}
+		}
+		return true
+	}
+	// Pump in steps shorter than a token rotation, so envelopes are drawn
+	// and rewritten while earlier ones are still being delivered.
+	for step := 0; !done(); step++ {
+		if step == 20000 {
+			t.Fatalf("transfers incomplete: %d of %d chunks submitted", next, transfers*perTransfer)
+		}
+		for next < transfers*perTransfer && n1.m.BulkBacklog() < 2 {
+			x, off := next/perTransfer, next%perTransfer*chunk
+			if len(n1.m.bulkFree) > 0 {
+				reused++
+			}
+			if !h.submitBulk(1, uint64(x+1), off, size, payloads[x][off:off+chunk]) {
+				break
+			}
+			next++
+		}
+		// Interactive chatter keeps the token rotating, so the safe horizon
+		// advances and prune recycles envelopes.
+		if tick++; tick%8 == 0 {
+			h.submit(2, []byte("tick"))
+			h.submit(3, []byte("tock"))
+		}
+		h.run(150 * time.Microsecond)
+	}
+	if reused == 0 {
+		t.Fatal("no envelope was drawn from the free list; the test exercised no recycling")
+	}
+	for _, nid := range h.order {
+		ds := bulkDeliveries(h.machines[nid])
+		if len(ds) != transfers {
+			t.Fatalf("node %v: %d bulk deliveries, want %d", nid, len(ds), transfers)
+		}
+		for x, d := range ds {
+			if !bytes.Equal(d.Payload, payloads[x]) {
+				t.Fatalf("node %v: transfer %d corrupted", nid, x+1)
+			}
+		}
+	}
+}

@@ -116,11 +116,18 @@ func (h *harness) post(from, to proto.NodeID, data []byte) {
 		return
 	}
 	dst := h.machines[to]
+	// Each receiver gets its own copy, which is scribbled over once
+	// OnPacket returns: that is what a driver recycling the frame does, so
+	// a machine retaining raw packet bytes fails here by corrupting data.
+	buf := append([]byte(nil), data...)
 	h.at(h.now+h.latency, func() {
 		if dst.crashed {
 			return
 		}
-		dst.m.OnPacket(h.now, data)
+		dst.m.OnPacket(h.now, buf)
+		for i := range buf {
+			buf[i] = 0xA5
+		}
 		dst.drain()
 	})
 }
@@ -150,7 +157,7 @@ func (n *hNode) drain() {
 			})
 		case proto.CancelTimer:
 			delete(n.timers, act.ID)
-		case proto.Deliver:
+		case *proto.Deliver:
 			n.delivered = append(n.delivered, act.Msg)
 		case proto.Config:
 			n.configs = append(n.configs, act.Change)

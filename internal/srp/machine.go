@@ -336,6 +336,10 @@ func (m *Machine) OnPacket(now proto.Time, data []byte) {
 	}
 	switch kind {
 	case wire.KindData:
+		if m.heldData(data) {
+			m.ctr.duplicates.Inc()
+			return
+		}
 		pkt, err := wire.DecodeData(data)
 		if err != nil {
 			return
@@ -366,6 +370,23 @@ func (m *Machine) OnPacket(now proto.Time, data []byte) {
 		}
 		m.onMergeDetect(now, md)
 	}
+}
+
+// heldData reports whether an encoded data packet is one onData would
+// discard as a duplicate: a packet of this ring, in a state that accepts
+// data, that is already delivered or held. Active replication passes every
+// network's copy of every packet up, so all but the first copy end here,
+// before the decode. Everything else (including the newer-ring packet that
+// triggers a rejoin) takes the full decode path.
+func (m *Machine) heldData(data []byte) bool {
+	if m.state != StateOperational && m.state != StateRecovery {
+		return false
+	}
+	ring, seq, err := wire.PeekDataSeq(data)
+	if err != nil || ring != m.ring || seq == 0 {
+		return false
+	}
+	return seq <= m.myAru || m.rx[seq] != nil
 }
 
 // OnTimer processes an expired timer.

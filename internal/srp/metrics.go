@@ -20,6 +20,9 @@ type counters struct {
 	submitRejected   *metrics.Counter
 	tokenLosses      *metrics.Counter
 	configChanges    *metrics.Counter
+	// reassemblyDropped counts fragments the assemblers discarded: a
+	// continuation with no start, or a prefix abandoned by a fresh start.
+	reassemblyDropped *metrics.Counter
 
 	// Bulk lane.
 	bulkSubmitted   *metrics.Counter
@@ -33,24 +36,25 @@ type counters struct {
 func newCounters(reg *metrics.Registry) counters {
 	c := func(name string) *metrics.Counter { return reg.Counter("srp." + name) }
 	return counters{
-		tokensReceived:   c("tokens_received"),
-		tokensSent:       c("tokens_sent"),
-		tokenRetransmits: c("token_retransmits"),
-		packetsSent:      c("packets_sent"),
-		packetsReceived:  c("packets_received"),
-		duplicates:       c("duplicates"),
-		retransmissions:  c("retransmissions"),
-		retransRequested: c("retrans_requested"),
-		msgsDelivered:    c("msgs_delivered"),
-		bytesDelivered:   c("bytes_delivered"),
-		submitted:        c("submitted"),
-		submitRejected:   c("submit_rejected"),
-		tokenLosses:      c("token_losses"),
-		configChanges:    c("config_changes"),
-		bulkSubmitted:    c("bulk_submitted"),
-		bulkRejected:     c("bulk_rejected"),
-		bulkChunksAcked:  c("bulk_chunks_acked"),
-		bulkRxCompleted:  c("bulk_rx_completed"),
-		bulkRxDropped:    c("bulk_rx_dropped"),
+		tokensReceived:    c("tokens_received"),
+		tokensSent:        c("tokens_sent"),
+		tokenRetransmits:  c("token_retransmits"),
+		packetsSent:       c("packets_sent"),
+		packetsReceived:   c("packets_received"),
+		duplicates:        c("duplicates"),
+		retransmissions:   c("retransmissions"),
+		retransRequested:  c("retrans_requested"),
+		msgsDelivered:     c("msgs_delivered"),
+		bytesDelivered:    c("bytes_delivered"),
+		submitted:         c("submitted"),
+		submitRejected:    c("submit_rejected"),
+		tokenLosses:       c("token_losses"),
+		configChanges:     c("config_changes"),
+		reassemblyDropped: c("reassembly_dropped"),
+		bulkSubmitted:     c("bulk_submitted"),
+		bulkRejected:      c("bulk_rejected"),
+		bulkChunksAcked:   c("bulk_chunks_acked"),
+		bulkRxCompleted:   c("bulk_rx_completed"),
+		bulkRxDropped:     c("bulk_rx_dropped"),
 	}
 }

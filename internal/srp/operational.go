@@ -90,6 +90,15 @@ func (m *Machine) deliverPending(now proto.Time) {
 			})
 		}
 	}
+	m.countReassemblyDrops(m.asm)
+}
+
+// countReassemblyDrops moves an assembler's drop count into the registry.
+func (m *Machine) countReassemblyDrops(a *wire.Assembler) {
+	if a.Dropped > 0 {
+		m.ctr.reassemblyDropped.Add(uint64(a.Dropped))
+		a.Dropped = 0
+	}
 }
 
 // prune discards retained packets that are both delivered and known safe

@@ -3,6 +3,7 @@ package srp
 import (
 	"testing"
 
+	"github.com/totem-rrp/totem/internal/metrics"
 	"github.com/totem-rrp/totem/internal/proto"
 	"github.com/totem-rrp/totem/internal/wire"
 )
@@ -320,9 +321,86 @@ func TestMissingBeforeReflectsAru(t *testing.T) {
 func drainDeliveries(acts *proto.Actions) []proto.Delivery {
 	var out []proto.Delivery
 	for _, a := range acts.Drain() {
-		if d, ok := a.(proto.Deliver); ok {
+		if d, ok := a.(*proto.Deliver); ok {
 			out = append(out, d.Msg)
 		}
 	}
 	return out
+}
+
+// TestHeldDataPacketDroppedBeforeDecodeAllocs pins the active-replication
+// fast path: a copy of a data packet the machine already delivered or
+// holds is counted as a duplicate without being decoded — no allocation —
+// while a packet from a newer ring still reaches onData and forces a
+// rejoin.
+func TestHeldDataPacketDroppedBeforeDecodeAllocs(t *testing.T) {
+	m, _, acts := operationalMachine(t, 2)
+	encode := func(p *wire.DataPacket) []byte {
+		data, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	delivered := encode(mkData(m, 1, 1, "first"))
+	held := encode(mkData(m, 1, 3, "third"))
+	m.OnPacket(0, delivered)
+	m.OnPacket(0, held)
+	if got := drainDeliveries(acts); len(got) != 1 || m.myAru != 1 || m.rx[3] == nil {
+		t.Fatalf("setup: %d deliveries, aru %d", len(got), m.myAru)
+	}
+	for name, data := range map[string][]byte{"delivered": delivered, "held": held} {
+		before := m.ctr.duplicates.Count()
+		allocs := testing.AllocsPerRun(100, func() { m.OnPacket(0, data) })
+		if allocs != 0 {
+			t.Fatalf("%s copy: %v allocs, want 0", name, allocs)
+		}
+		if n := m.ctr.duplicates.Count() - before; n != 101 {
+			t.Fatalf("%s copy: %d duplicates counted, want 101", name, n)
+		}
+	}
+	if acts.Len() != 0 {
+		t.Fatalf("dropping copies emitted %d actions", acts.Len())
+	}
+
+	newer := mkData(m, 1, 1, "next ring")
+	newer.Ring.Epoch++
+	m.OnPacket(0, encode(newer))
+	if m.State() != StateGather {
+		t.Fatalf("packet from a newer ring: state %v, want gather", m.State())
+	}
+}
+
+// TestReassemblyDropsReachRegistry: a continuation with no start is
+// counted in srp.reassembly_dropped, from the current ring's assembler
+// and from the old ring's during recovery delivery.
+func TestReassemblyDropsReachRegistry(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := DefaultConfig(2)
+	cfg.Metrics = reg
+	m, err := NewMachine(cfg, &fakeOut{}, &proto.Actions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.state = StateOperational
+	m.ring = proto.RingID{Rep: 1, Epoch: 5}
+	m.members = newNodeSet(1, 2, 3)
+	dropped := reg.Counter("srp.reassembly_dropped")
+
+	orphan := mkData(m, 1, 1, "tail")
+	orphan.Chunks[0].Flags = wire.ChunkLast
+	data, err := orphan.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.OnPacket(0, data)
+	if m.deliveredTo != 1 || dropped.Count() != 1 {
+		t.Fatalf("current ring: delivered to %d, reassembly_dropped %d; want 1, 1", m.deliveredTo, dropped.Count())
+	}
+
+	m.old = &oldRing{ring: m.ring, asm: wire.NewAssembler()}
+	m.deliverOldPacket(0, 1, orphan)
+	if dropped.Count() != 2 {
+		t.Fatalf("old ring: reassembly_dropped %d, want 2", dropped.Count())
+	}
 }

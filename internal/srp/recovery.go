@@ -200,6 +200,7 @@ func (m *Machine) deliverOldPacket(now proto.Time, s uint32, pkt *wire.DataPacke
 			Transitional: true,
 		})
 	}
+	m.countReassemblyDrops(m.old.asm)
 }
 
 // sendMergeDetect broadcasts the ring advertisement.

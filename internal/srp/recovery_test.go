@@ -176,7 +176,7 @@ func TestDeliverOldAndInstallOrdering(t *testing.T) {
 			} else {
 				kinds = append(kinds, "regular-config")
 			}
-		case proto.Deliver:
+		case *proto.Deliver:
 			if !act.Msg.Transitional {
 				t.Fatalf("old message delivered without transitional mark: %v", act.Msg)
 			}

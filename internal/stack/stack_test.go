@@ -132,7 +132,7 @@ func TestSubmitBackpressureSurfaces(t *testing.T) {
 	}
 	delivered := false
 	for _, a := range acts {
-		if d, ok := a.(proto.Deliver); ok && string(d.Msg.Payload) == "hello" {
+		if d, ok := a.(*proto.Deliver); ok && string(d.Msg.Payload) == "hello" {
 			delivered = true
 		}
 	}

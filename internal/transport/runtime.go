@@ -246,7 +246,7 @@ func (r *Runtime) execute(actions []proto.Action) {
 			r.setTimer(act.ID, act.After)
 		case proto.CancelTimer:
 			r.cancelTimer(act.ID)
-		case proto.Deliver:
+		case *proto.Deliver:
 			if r.deliveryTap != nil {
 				r.deliveryTap(act.Msg)
 			}

@@ -279,19 +279,30 @@ type asmKey struct {
 }
 
 // Assembler reassembles chunk streams back into application messages, one
-// partial buffer per sender and lane.
+// partial message per sender and lane.
 type Assembler struct {
-	partial map[asmKey][]byte
+	partial map[asmKey]*fragments
+	// free recycles fragment lists of completed or abandoned messages, so a
+	// steady stream of fragmented messages allocates only the messages.
+	free []*fragments
 	// Dropped counts reassembly anomalies: a continuation without a start
 	// (legitimate when joining mid-stream after a configuration change) and
 	// a partially-assembled prefix abandoned because a fresh ChunkFirst
-	// arrived mid-reassembly.
+	// arrived mid-reassembly. The owner may zero it after reading (the SRP
+	// moves it into srp.reassembly_dropped after every packet).
 	Dropped int
+}
+
+// fragments is one partial message: the fragments received so far, held
+// as aliases of the chunks they arrived in, and their total length.
+type fragments struct {
+	parts [][]byte
+	size  int
 }
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
-	return &Assembler{partial: make(map[asmKey][]byte)}
+	return &Assembler{partial: make(map[asmKey]*fragments)}
 }
 
 // Add processes one chunk from sender and returns (message, true) when the
@@ -303,42 +314,89 @@ func NewAssembler() *Assembler {
 // only as far as the chunk's backing buffer lives and must treat it as
 // read-only (the SRP retains decoded packets for retransmission until the
 // safe horizon passes); a caller that needs to mutate or outlive the
-// packet must copy. Fragmented messages are accumulated into a buffer the
-// assembler allocates, which the caller owns outright.
+// packet must copy.
+//
+// A fragmented message is copied exactly once: Add keeps each fragment as
+// an alias of c.Data until the ChunkLast fragment arrives, then copies
+// them all into one buffer of the message's exact size, which the caller
+// owns outright. Holding the aliases is safe because no chunk buffer the
+// SRP feeds in is reused before its message completes or is abandoned:
+//
+//   - received chunks are DecodeData's private copy, never the frame;
+//   - own interactive chunks alias the message the packer owns (Enqueue
+//     transfers ownership, and nothing reuses it);
+//   - own bulk chunks alias chunk envelopes that return to the free list
+//     only when the packet carrying the envelope's last piece is pruned,
+//     which happens after that piece is delivered — that is, after this
+//     assembler completed the message;
+//   - on a ring change the envelope buffers still awaiting pruning are
+//     dropped to the GC rather than recycled, so an old-ring assembler's
+//     partials can never see a buffer rewritten.
 func (a *Assembler) Add(sender proto.NodeID, c Chunk) ([]byte, bool) {
 	key := asmKey{sender: sender, bulk: c.Flags&ChunkBulk != 0}
 	first := c.Flags&ChunkFirst != 0
 	last := c.Flags&ChunkLast != 0
+	f, inProgress := a.partial[key]
+	if inProgress && first {
+		// A fresh start abandons the partially-assembled prefix.
+		a.Dropped++
+		delete(a.partial, key)
+		a.release(f)
+		f = nil
+	}
 	switch {
 	case first && last:
-		if _, abandoned := a.partial[key]; abandoned {
-			a.Dropped++
-			delete(a.partial, key)
-		}
 		return c.Data, true
 	case first:
-		if _, abandoned := a.partial[key]; abandoned {
-			a.Dropped++
+		if n := len(a.free); n > 0 {
+			f = a.free[n-1]
+			a.free = a.free[:n-1]
+		} else {
+			f = new(fragments)
 		}
-		a.partial[key] = append([]byte(nil), c.Data...)
+		f.parts = append(f.parts, c.Data)
+		f.size = len(c.Data)
+		a.partial[key] = f
+		return nil, false
+	case f == nil:
+		a.Dropped++
+		return nil, false
+	case !last:
+		f.parts = append(f.parts, c.Data)
+		f.size += len(c.Data)
 		return nil, false
 	default:
-		buf, ok := a.partial[key]
-		if !ok {
-			a.Dropped++
-			return nil, false
+		msg := make([]byte, f.size+len(c.Data))
+		off := 0
+		for _, p := range f.parts {
+			off += copy(msg[off:], p)
 		}
-		buf = append(buf, c.Data...)
-		if last {
-			delete(a.partial, key)
-			return buf, true
-		}
-		a.partial[key] = buf
-		return nil, false
+		copy(msg[off:], c.Data)
+		delete(a.partial, key)
+		a.release(f)
+		return msg, true
 	}
 }
 
+// release clears a fragment list, so it pins no chunk buffer, and keeps
+// it for reuse.
+func (a *Assembler) release(f *fragments) {
+	clear(f.parts)
+	f.parts = f.parts[:0]
+	f.size = 0
+	if len(a.free) < maxFreeFragments {
+		a.free = append(a.free, f)
+	}
+}
+
+// maxFreeFragments bounds the fragment-list free list: one per sender and
+// lane in flight covers any realistic ring.
+const maxFreeFragments = 64
+
 // Reset discards all partial state (used on configuration change).
 func (a *Assembler) Reset() {
-	clear(a.partial)
+	for k, f := range a.partial {
+		delete(a.partial, k)
+		a.release(f)
+	}
 }

@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"testing"
 
 	"github.com/totem-rrp/totem/internal/proto"
@@ -118,8 +117,9 @@ func FuzzPackerAssembler(f *testing.F) {
 
 // FuzzAssemblerStream feeds the Assembler an arbitrary — including
 // protocol-violating — chunk stream across several senders. It must never
-// panic, never fabricate bytes that were not in some chunk, and account
-// for every orphan continuation in Dropped.
+// panic, must return exactly what a reference concatenation of each
+// sender's fragments returns (and leave it unchanged by later chunks), and
+// account for every orphan continuation and abandoned prefix in Dropped.
 func FuzzAssemblerStream(f *testing.F) {
 	// flags byte, length byte, payload — repeated.
 	f.Add([]byte{byte(ChunkFirst | ChunkLast), 3, 'a', 'b', 'c'})
@@ -128,7 +128,10 @@ func FuzzAssemblerStream(f *testing.F) {
 	f.Add([]byte{byte(ChunkFirst), 1, 'q', byte(ChunkFirst | ChunkLast), 1, 'r'})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a := NewAssembler()
-		fed, returned, completions := 0, 0, 0
+		// The reference: each sender's partial as a plain concatenation.
+		ref := make(map[proto.NodeID][]byte)
+		var got, want [][]byte
+		drops := 0
 		for i := 0; i+1 < len(data); {
 			flags := data[i] & (ChunkFirst | ChunkLast)
 			n := int(data[i+1])
@@ -137,24 +140,60 @@ func FuzzAssemblerStream(f *testing.F) {
 				n = len(data) - i
 			}
 			sender := proto.NodeID(1 + n%3)
-			fed += n
-			m, ok := a.Add(sender, Chunk{Flags: flags, Data: data[i : i+n]})
+			chunk := data[i : i+n]
+			m, ok := a.Add(sender, Chunk{Flags: flags, Data: chunk})
 			i += n
-			if ok {
-				completions++
-				returned += len(m)
-			} else if m != nil {
-				t.Fatal("incomplete Add returned a message")
+
+			partial, inProgress := ref[sender]
+			var refMsg []byte
+			refOK := false
+			switch {
+			case flags&ChunkFirst != 0:
+				if inProgress {
+					drops++
+				}
+				delete(ref, sender)
+				if flags&ChunkLast != 0 {
+					refMsg, refOK = chunk, true
+				} else {
+					ref[sender] = append([]byte{}, chunk...)
+				}
+			case !inProgress:
+				drops++
+			case flags&ChunkLast != 0:
+				refMsg, refOK = append(partial, chunk...), true
+				delete(ref, sender)
+			default:
+				ref[sender] = append(partial, chunk...)
+			}
+
+			if ok != refOK {
+				t.Fatalf("chunk at %d (flags %d, sender %v): completed %v, reference %v", i-n, flags, sender, ok, refOK)
+			}
+			if !ok {
+				if m != nil {
+					t.Fatal("incomplete Add returned a message")
+				}
+				continue
+			}
+			if !bytes.Equal(m, refMsg) {
+				t.Fatalf("message %d: %q, reference %q", len(got), m, refMsg)
+			}
+			got = append(got, m)
+			want = append(want, append([]byte{}, refMsg...))
+		}
+		for k := range got {
+			if !bytes.Equal(got[k], want[k]) {
+				t.Fatalf("message %d changed after later chunks: %q, want %q", k, got[k], want[k])
 			}
 		}
-		if returned > fed {
-			t.Fatalf("assembler returned %d bytes from %d fed", returned, fed)
+		if a.Dropped != drops {
+			t.Fatalf("Dropped = %d, reference counts %d", a.Dropped, drops)
 		}
 		a.Reset()
 		if m, ok := a.Add(1, Chunk{Flags: 0, Data: []byte("tail")}); ok || m != nil {
 			t.Fatal("continuation accepted after Reset")
 		}
-		_ = fmt.Sprintf("%d", completions) // keep the counter observable under -v
 	})
 }
 
@@ -179,7 +218,7 @@ func FuzzMixedLanes(f *testing.F) {
 		return v
 	}
 	f.Add(seed(255, lane(false, 200), lane(true, 20000), lane(false, 64)))
-	f.Add(seed(2, lane(true, 3*MaxPayload), lane(false, 100)))  // reset mid-fragment
+	f.Add(seed(2, lane(true, 3*MaxPayload), lane(false, 100))) // reset mid-fragment
 	f.Add(seed(0, lane(true, 1), lane(true, 0), lane(false, maxWhole)))
 	f.Add(seed(255, lane(true, 8192), lane(true, 8192), lane(true, 8192)))
 	f.Fuzz(func(t *testing.T, data []byte) {

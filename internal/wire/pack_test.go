@@ -256,6 +256,66 @@ func TestAssemblerReset(t *testing.T) {
 	}
 }
 
+// fragmentChunks splits msg into n chunks flagged as the packer flags the
+// fragments of an oversized message.
+func fragmentChunks(msg []byte, n int) []Chunk {
+	chunks := make([]Chunk, n)
+	step := (len(msg) + n - 1) / n
+	for i := range chunks {
+		lo, hi := min(i*step, len(msg)), min((i+1)*step, len(msg))
+		chunks[i].Data = msg[lo:hi]
+	}
+	chunks[0].Flags |= ChunkFirst
+	chunks[n-1].Flags |= ChunkLast
+	return chunks
+}
+
+// TestAssemblerFragmentedMessageOwnsItsBytes: the assembler aliases
+// fragments only until the message completes; the message it returns is
+// its own copy, so the chunk buffers may be reused afterwards.
+func TestAssemblerFragmentedMessageOwnsItsBytes(t *testing.T) {
+	in := fill(10000, 5)
+	want := append([]byte(nil), in...)
+	a := NewAssembler()
+	var msg []byte
+	for _, c := range fragmentChunks(in, 8) {
+		m, ok := a.Add(3, c)
+		if ok {
+			msg = m
+		}
+	}
+	if !bytes.Equal(msg, want) {
+		t.Fatal("fragmented message reassembled wrong")
+	}
+	for i := range in {
+		in[i] = ^in[i]
+	}
+	if !bytes.Equal(msg, want) {
+		t.Fatal("reassembled message changed when its fragment buffers were overwritten")
+	}
+}
+
+// TestAssemblerFragmentedAllocs pins reassembly to one allocation of the
+// message's exact size.
+func TestAssemblerFragmentedAllocs(t *testing.T) {
+	chunks := fragmentChunks(fill(10000, 9), 8)
+	a := NewAssembler()
+	var msg []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, c := range chunks {
+			if m, ok := a.Add(3, c); ok {
+				msg = m
+			}
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("8-fragment message: %v allocs, want 1", allocs)
+	}
+	if len(msg) != 10000 || cap(msg) != 10000 {
+		t.Fatalf("message len %d cap %d, want 10000/10000", len(msg), cap(msg))
+	}
+}
+
 // Property: pack then reassemble returns exactly the original messages in
 // order, for arbitrary message sizes (including oversized ones).
 func TestQuickPackAssembleRoundTrip(t *testing.T) {

@@ -282,7 +282,12 @@ func (p *DataPacket) AppendEncode(buf []byte) ([]byte, error) {
 // flags(1) + length(2).
 const ChunkOverhead = 3
 
-// DecodeData parses a KindData packet.
+// DecodeData parses a KindData packet. The decoded packet never aliases
+// data: the chunk region is copied once into a private buffer and every
+// chunk's Data is a capacity-limited sub-slice of that copy, so a decode
+// costs three allocations (packet, chunk slice, payload buffer) whatever
+// the chunk count, and the caller may recycle the frame as soon as it
+// returns.
 func DecodeData(data []byte) (*DataPacket, error) {
 	k, ring, rest, err := parseHeader(data)
 	if err != nil {
@@ -294,18 +299,18 @@ func DecodeData(data []byte) (*DataPacket, error) {
 	if len(rest) < 10 {
 		return nil, ErrTruncated
 	}
+	n := int(rest[9])
+	if n == 0 || n > MaxChunks {
+		return nil, fmt.Errorf("%w: %d chunks", ErrMalformed, n)
+	}
 	p := &DataPacket{
 		Ring:   ring,
 		Sender: proto.NodeID(binary.BigEndian.Uint32(rest)),
 		Seq:    binary.BigEndian.Uint32(rest[4:]),
 		Flags:  rest[8],
+		Chunks: make([]Chunk, 0, n),
 	}
-	n := int(rest[9])
-	if n == 0 || n > MaxChunks {
-		return nil, fmt.Errorf("%w: %d chunks", ErrMalformed, n)
-	}
-	rest = rest[10:]
-	p.Chunks = make([]Chunk, 0, n)
+	rest = append([]byte(nil), rest[10:]...)
 	for i := 0; i < n; i++ {
 		if len(rest) < ChunkOverhead {
 			return nil, ErrTruncated
@@ -318,8 +323,7 @@ func DecodeData(data []byte) (*DataPacket, error) {
 		}
 		chunk := Chunk{Flags: flags}
 		if l > 0 {
-			chunk.Data = make([]byte, l)
-			copy(chunk.Data, rest[:l])
+			chunk.Data = rest[:l:l]
 		}
 		p.Chunks = append(p.Chunks, chunk)
 		rest = rest[l:]
@@ -328,6 +332,24 @@ func DecodeData(data []byte) (*DataPacket, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(rest))
 	}
 	return p, nil
+}
+
+// PeekDataSeq returns the ring and sequence number of an encoded data
+// packet without a full decode. The SRP uses it to drop a copy of a packet
+// it already holds — every network's copy under active replication —
+// before paying for the decode.
+func PeekDataSeq(data []byte) (proto.RingID, uint32, error) {
+	k, ring, rest, err := parseHeader(data)
+	if err != nil {
+		return proto.RingID{}, 0, err
+	}
+	if k != KindData {
+		return proto.RingID{}, 0, fmt.Errorf("%w: kind %v, want data", ErrMalformed, k)
+	}
+	if len(rest) < 8 {
+		return proto.RingID{}, 0, ErrTruncated
+	}
+	return ring, binary.BigEndian.Uint32(rest[4:]), nil
 }
 
 // --- Token ---

@@ -434,3 +434,81 @@ func TestFrameBudgetConstants(t *testing.T) {
 		t.Fatalf("budget arithmetic inconsistent")
 	}
 }
+
+// packedPacket is n whole messages of size bytes packed into one packet:
+// the shape of every packet at the small-message end of Figure 6.
+func packedPacket(n, size int) *DataPacket {
+	p := &DataPacket{Ring: proto.RingID{Rep: 1, Epoch: 7}, Sender: 1, Seq: 42}
+	for i := 0; i < n; i++ {
+		p.Chunks = append(p.Chunks, Chunk{Flags: ChunkFirst | ChunkLast, Data: fill(size, byte(i))})
+	}
+	return p
+}
+
+// TestDecodeDataDoesNotAliasFrame pins the receive-side ownership rule:
+// the driver recycles the frame as soon as OnPacket returns, so nothing a
+// decoded packet holds may point into it — and, since the chunks share
+// one private buffer, growing one chunk must not write into the next.
+func TestDecodeDataDoesNotAliasFrame(t *testing.T) {
+	p := packedPacket(12, 100)
+	frame, err := p.AppendEncode(GetFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeData(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		frame[i] = ^frame[i]
+	}
+	PutFrame(frame)
+	_ = append(got.Chunks[0].Data, 0xEE)
+	for i, c := range got.Chunks {
+		if !bytes.Equal(c.Data, p.Chunks[i].Data) {
+			t.Fatalf("chunk %d changed after the frame was overwritten", i)
+		}
+		if cap(c.Data) != len(c.Data) {
+			t.Fatalf("chunk %d: cap %d > len %d lets an append overwrite its neighbour", i, cap(c.Data), len(c.Data))
+		}
+	}
+}
+
+// TestDecodeDataAllocs pins the one-copy decode: the packet, its chunk
+// slice and one payload buffer, whatever the chunk count.
+func TestDecodeDataAllocs(t *testing.T) {
+	data, err := packedPacket(12, 100).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := DecodeData(data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 3 {
+		t.Fatalf("DecodeData of a 12-chunk packet: %v allocs, want 3", allocs)
+	}
+}
+
+func TestPeekDataSeq(t *testing.T) {
+	p := packedPacket(2, 10)
+	data, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring, seq, err := PeekDataSeq(data)
+	if err != nil || ring != p.Ring || seq != p.Seq {
+		t.Fatalf("PeekDataSeq = %v, %d, %v; want %v, %d", ring, seq, err, p.Ring, p.Seq)
+	}
+	tok, err := (&Token{Ring: p.Ring, Seq: 5}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := PeekDataSeq(tok); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("token: err = %v, want ErrMalformed", err)
+	}
+	if _, _, err := PeekDataSeq(data[:headerLen+7]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated: err = %v, want ErrTruncated", err)
+	}
+}

@@ -403,7 +403,7 @@ func (n *Node) wrapTap(tap func(Delivery), i int) func(Delivery) {
 		d.Shard = i
 		if n.crossOrder {
 			kind, _, body, err := shard.Unwrap(d.Payload)
-			if err != nil || kind == shard.KindMarker {
+			if err != nil || kind != shard.KindApp {
 				return
 			}
 			d.Payload = body
@@ -493,10 +493,13 @@ func (n *Node) startFanIn(opts Options) {
 // shard's (totally ordered) delivery stream into the Lamport merge and
 // releases the global sequence on the merged channel. Because the merge
 // order is a pure function of the per-shard streams, every node's loop
-// emits the identical sequence.
+// emits the identical sequence. At the first delivery of each regular
+// configuration on a shard it announces its cut there, for the merge's
+// floor agreement (shard.Merge.Begin).
 func (n *Node) mergeLoop(in <-chan Delivery) {
 	defer close(n.deliveries)
 	m := shard.NewMerge(n.shards)
+	owed := make([][]byte, n.shards) // floor announcements not yet queued
 	for d := range in {
 		kind, ts, body, err := shard.Unwrap(d.Payload)
 		if err != nil {
@@ -505,11 +508,29 @@ func (n *Node) mergeLoop(in <-chan Delivery) {
 			continue
 		}
 		n.clock.Observe(ts)
-		if kind == shard.KindMarker {
-			m.Push(d.Shard, shard.Item{TS: ts, Marker: true})
-		} else {
+		s := d.Shard
+		if !d.Transitional && d.Ring != m.Ring(s) {
+			ring, members := n.RingOf(s)
+			if ring != d.Ring {
+				members = nil // the shard has moved on: this round carries into the next
+			}
+			owed[s] = shard.WrapFloor(m.Begin(s, d.Ring, members), d.Ring)
+		}
+		switch kind {
+		case shard.KindFloor:
+			if ring, err := shard.FloorRing(body); err == nil {
+				m.Floor(s, ring, d.Sender, ts)
+			}
+		case shard.KindMarker:
+			m.Push(s, shard.Item{TS: ts, Marker: true})
+		default:
 			d.Payload = body
-			m.Push(d.Shard, shard.Item{TS: ts, Payload: d})
+			m.Push(s, shard.Item{TS: ts, Payload: d})
+		}
+		for i, env := range owed {
+			if env != nil && n.rts[i].Submit(env) {
+				owed[i] = nil
+			}
 		}
 		for {
 			it, _, ok := m.Pop()
