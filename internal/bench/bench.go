@@ -110,12 +110,13 @@ func Run(e Experiment) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("bench: %w", err)
 	}
-	for _, id := range cluster.NodeIDs() {
+	ids := cluster.NodeIDs()
+	for _, id := range ids {
 		cluster.Node(id).KeepPayloads = false
 	}
 	cluster.Start()
 	formed := cluster.RunUntil(func() bool {
-		for _, id := range cluster.NodeIDs() {
+		for _, id := range ids {
 			n := cluster.Node(id).Stack.SRP()
 			if len(n.Members()) != e.Nodes {
 				return false
@@ -132,7 +133,7 @@ func Run(e Experiment) (Result, error) {
 	payload := make([]byte, e.MsgLen)
 	var pump func()
 	pump = func() {
-		for _, id := range cluster.NodeIDs() {
+		for _, id := range ids {
 			n := cluster.Node(id)
 			for i := 0; i < e.Backlog && n.Stack.Backlog() < e.Backlog; i++ {
 				if !cluster.Submit(id, payload) {
@@ -145,11 +146,11 @@ func Run(e Experiment) (Result, error) {
 	cluster.Sim.After(0, pump)
 
 	cluster.Run(e.Warmup)
-	probe := cluster.Node(cluster.NodeIDs()[0])
+	probe := cluster.Node(ids[0])
 	startMsgs := probe.DeliveredCount
 	startBytes := probe.DeliveredBytes
 	retransmissions := func() (sum uint64) {
-		for _, id := range cluster.NodeIDs() {
+		for _, id := range ids {
 			sum += cluster.Node(id).Stack.Metrics().Counter("srp.retransmissions").Count()
 		}
 		return sum

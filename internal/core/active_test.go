@@ -284,7 +284,7 @@ func TestActiveStartArmsDecayTimer(t *testing.T) {
 	a.Start(0)
 	found := false
 	for _, act := range rec.acts.Drain() {
-		if st, ok := act.(proto.SetTimer); ok && st.ID.Class == proto.TimerRRPDecay {
+		if st, ok := act.(*proto.SetTimer); ok && st.ID.Class == proto.TimerRRPDecay {
 			found = true
 			if st.After != a.cfg.DecayInterval {
 				t.Fatalf("decay interval %v", st.After)

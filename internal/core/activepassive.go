@@ -181,7 +181,7 @@ func (ap *activePassive) OnTimer(now proto.Time, id proto.TimerID) {
 
 func (ap *activePassive) observeToken(now proto.Time, network int) {
 	if lag := ap.tokMon.observe(network, ap.fault); lag >= 0 && ap.tokMon.diff(lag) > ap.cfg.TokenDiffThreshold {
-		if ap.inReadmitGrace(lag) {
+		if ap.holdGrace(lag) {
 			// The lag accrued while slower peers were still excluding the
 			// repaired network; discard it instead of convicting.
 			ap.tokMon.readmit(lag)
@@ -200,7 +200,7 @@ func (ap *activePassive) observeMessage(now proto.Time, sender proto.NodeID, net
 		ap.msgMon[sender] = mon
 	}
 	if lag := mon.observe(network, ap.fault); lag >= 0 && mon.diff(lag) > ap.cfg.DiffThreshold {
-		if ap.inReadmitGrace(lag) {
+		if ap.holdGrace(lag) {
 			mon.readmit(lag)
 			return
 		}

@@ -127,7 +127,7 @@ func TestActivePassiveTokenMonitorFlagsDeadNetworkAndReadmitsIt(t *testing.T) {
 	ap.Start(0)
 	decayArmed := false
 	for _, a := range rec.acts.Drain() {
-		if st, ok := a.(proto.SetTimer); ok && st.ID.Class == proto.TimerRRPDecay {
+		if st, ok := a.(*proto.SetTimer); ok && st.ID.Class == proto.TimerRRPDecay {
 			decayArmed = true
 		}
 	}
@@ -318,5 +318,51 @@ func TestReadmitNoopWhenNotFaulty(t *testing.T) {
 	a.Readmit(9) // out of range: no-op
 	if f := a.Faulty(); f[0] || f[1] {
 		t.Fatalf("faulty = %v", f)
+	}
+}
+
+// TestActivePassiveGraceHeldWhilePeerExcludes: a predecessor serving a
+// longer probation than this node keeps excluding the readmitted network
+// past this node's own-probation grace. Its exclusion holds the grace
+// open (no re-conviction to roll around the ring), but only up to twice
+// that grace: a peer that never readmits still gets the network convicted.
+func TestActivePassiveGraceHeldWhilePeerExcludes(t *testing.T) {
+	rec := &recorder{}
+	ap := newAPForTest(t, rec, 3, 2)
+	var seq uint32
+	// excluded delivers n token generations on networks 0 and 1 only, as a
+	// predecessor that has network 2 faulty sends them.
+	excluded := func(n int) {
+		for i := 0; i < n; i++ {
+			seq++
+			ap.OnPacket(0, 0, tokenBytes(t, seq, 0))
+			ap.OnPacket(0, 1, tokenBytes(t, seq, 0))
+		}
+	}
+	decay := func() { ap.OnTimer(0, proto.TimerID{Class: proto.TimerRRPDecay}) }
+	excluded(ap.cfg.TokenDiffThreshold + 1)
+	if !ap.Faulty()[2] {
+		t.Fatal("network 2 not convicted")
+	}
+	for ap.Faulty()[2] {
+		ap.OnPacket(0, 2, dataBytes(t, 3, seq))
+		decay()
+	}
+	rec.acts.Drain()
+
+	// The grace is the probation just served; exclusion arriving in every
+	// window holds it open past that, up to twice as long.
+	grace := ap.cfg.ProbationWindows
+	windows := 0
+	for !ap.Faulty()[2] && windows < 4*grace {
+		excluded(2 * ap.cfg.TokenDiffThreshold)
+		decay()
+		windows++
+	}
+	if windows != 2*grace+1 {
+		t.Fatalf("re-convicted in window %d after readmission, want %d (the first after twice the %d-window grace)", windows, 2*grace+1, grace)
+	}
+	if faults := rec.drainFaults(); len(faults) != 1 || faults[0].Network != 2 {
+		t.Fatalf("faults = %v, want network 2 convicted once", faults)
 	}
 }

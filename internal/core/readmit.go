@@ -59,6 +59,9 @@ type recoveryState struct {
 	// window phases, and until the slowest one does, the network
 	// legitimately misses that peer's traffic.
 	graceUntil []uint64
+	// graceCap bounds how far discarded evidence may extend graceUntil:
+	// twice the grace granted at readmission (see holdGrace).
+	graceCap []uint64
 	// probeBudget is the number of probe duplicates left this window.
 	probeBudget []int
 }
@@ -72,6 +75,7 @@ func newRecoveryState(cfg Config) recoveryState {
 		lastClearWindow: make([]uint64, n),
 		everCleared:     make([]bool, n),
 		graceUntil:      make([]uint64, n),
+		graceCap:        make([]uint64, n),
 		probeBudget:     make([]int, n),
 	}
 	for i := range r.probation {
@@ -137,6 +141,30 @@ func (b *base) noteReadmitted(i int) {
 		grace = 2
 	}
 	r.graceUntil[i] = r.windows + grace
+	r.graceCap[i] = r.windows + 2*grace
+}
+
+// holdGrace is inReadmitGrace for a monitor that is about to discard a
+// threshold crossing on network i: while the grace holds, a discarded
+// crossing also keeps it open for the next full window, up to twice the
+// grace granted at readmission. Probations differ between peers — a
+// restarted node's flap history starts over, and each node doubles its
+// own — so a peer convicted together with this node may serve a longer
+// probation and keep excluding the network past this node's grace. Its
+// exclusion keeps producing crossings here, and a grace that expires
+// under it re-convicts the network, which hands the flap on around the
+// ring for good: every node's grace ends just before its predecessor's
+// readmission. Held grace outlasts a peer one probation doubling ahead,
+// and each flap doubles this node's own, so the loop dies out. A network
+// that keeps failing (or a peer that never readmits it, like one that
+// cannot receive on it) is still convicted at the cap.
+func (b *base) holdGrace(i int) bool {
+	if !b.inReadmitGrace(i) {
+		return false
+	}
+	r := &b.rec
+	r.graceUntil[i] = max(r.graceUntil[i], min(r.windows+2, r.graceCap[i]))
+	return true
 }
 
 // inReadmitGrace reports whether network i was readmitted so recently

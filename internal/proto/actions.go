@@ -27,6 +27,10 @@ type SendPacket struct {
 
 // SetTimer arms (or re-arms) the timer identified by ID to fire After from
 // now. Arming an already-armed timer replaces its deadline.
+//
+// SetTimer and CancelTimer travel as pointers, pooled the way *SendPacket
+// is: every token visit re-arms and cancels timers, and boxing the values
+// would allocate on each.
 type SetTimer struct {
 	ID    TimerID
 	After time.Duration
@@ -71,8 +75,8 @@ type BulkSignal struct {
 }
 
 func (*SendPacket) isAction()  {}
-func (SetTimer) isAction()     {}
-func (CancelTimer) isAction()  {}
+func (*SetTimer) isAction()    {}
+func (*CancelTimer) isAction() {}
 func (*Deliver) isAction()     {}
 func (Fault) isAction()        {}
 func (FaultCleared) isAction() {}
@@ -210,6 +214,8 @@ type Actions struct {
 	list   []Action
 	free   [][]Action
 	spFree []*SendPacket
+	stFree []*SetTimer
+	ctFree []*CancelTimer
 	dFree  []*Deliver
 	// probe, when non-nil, receives typed in-machine events (see probe.go).
 	// Kept here so every machine layer sharing the buffer shares the hook.
@@ -241,13 +247,29 @@ func (a *Actions) grab() {
 // SetTimer appends a SetTimer action.
 func (a *Actions) SetTimer(id TimerID, after time.Duration) {
 	a.grab()
-	a.list = append(a.list, SetTimer{ID: id, After: after})
+	var st *SetTimer
+	if n := len(a.stFree); n > 0 {
+		st = a.stFree[n-1]
+		a.stFree = a.stFree[:n-1]
+	} else {
+		st = new(SetTimer)
+	}
+	st.ID, st.After = id, after
+	a.list = append(a.list, st)
 }
 
 // CancelTimer appends a CancelTimer action.
 func (a *Actions) CancelTimer(id TimerID) {
 	a.grab()
-	a.list = append(a.list, CancelTimer{ID: id})
+	var ct *CancelTimer
+	if n := len(a.ctFree); n > 0 {
+		ct = a.ctFree[n-1]
+		a.ctFree = a.ctFree[:n-1]
+	} else {
+		ct = new(CancelTimer)
+	}
+	ct.ID = id
+	a.list = append(a.list, ct)
 }
 
 // Deliver appends a Deliver action.
@@ -305,10 +327,14 @@ func (a *Actions) Drain() []Action {
 const maxFreeActions = 256
 
 // Recycle returns a batch obtained from Drain once the driver has finished
-// executing it. The backing array is cleared and the pooled *SendPacket
-// and *Deliver objects are zeroed (so recycled batches do not pin packet
-// buffers or payloads) and reused by later emissions. Callers must not
-// touch the batch afterwards.
+// executing it. The batch's elements are cleared and the pooled action
+// objects are reused by later emissions; *SendPacket and *Deliver are
+// zeroed first, so recycled batches do not pin packet buffers or
+// payloads. Callers must not touch the batch afterwards.
+//
+// Only batch[:len] is cleared: nothing ever writes past the length of a
+// list (emissions append, growth copies into a zeroed array), so the
+// capacity beyond it is already nil.
 func (a *Actions) Recycle(batch []Action) {
 	if cap(batch) == 0 {
 		return
@@ -320,6 +346,14 @@ func (a *Actions) Recycle(batch []Action) {
 			if len(a.spFree) < maxFreeActions {
 				a.spFree = append(a.spFree, act)
 			}
+		case *SetTimer:
+			if len(a.stFree) < maxFreeActions {
+				a.stFree = append(a.stFree, act)
+			}
+		case *CancelTimer:
+			if len(a.ctFree) < maxFreeActions {
+				a.ctFree = append(a.ctFree, act)
+			}
 		case *Deliver:
 			act.Msg = Delivery{}
 			if len(a.dFree) < maxFreeActions {
@@ -327,7 +361,7 @@ func (a *Actions) Recycle(batch []Action) {
 			}
 		}
 	}
-	clear(batch[:cap(batch)])
+	clear(batch)
 	if len(a.free) < 4 {
 		a.free = append(a.free, batch[:0])
 	}

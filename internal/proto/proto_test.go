@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -128,10 +129,10 @@ func TestActionsBufferAccumulatesAndDrains(t *testing.T) {
 	if _, ok := got[0].(*SendPacket); !ok {
 		t.Fatalf("action 0 is %T", got[0])
 	}
-	if st, ok := got[1].(SetTimer); !ok || st.After != time.Second {
+	if st, ok := got[1].(*SetTimer); !ok || st.After != time.Second {
 		t.Fatalf("action 1 is %#v", got[1])
 	}
-	if _, ok := got[2].(CancelTimer); !ok {
+	if _, ok := got[2].(*CancelTimer); !ok {
 		t.Fatalf("action 2 is %T", got[2])
 	}
 	if d, ok := got[3].(*Deliver); !ok || d.Msg.Seq != 2 {
@@ -188,6 +189,40 @@ func TestActionsDeliverRecycleAllocs(t *testing.T) {
 	}
 	if last.Msg.Payload != nil || last.Msg.Seq != 0 {
 		t.Fatalf("recycled Deliver still holds %+v", last.Msg)
+	}
+}
+
+// TestActionsBatchesNilBeyondLength pins the invariant Recycle's
+// length-only clear rests on: no drained batch ever holds a non-nil
+// element past its length, whatever mix of batch sizes (shrinking after a
+// large one, growing past a recycled array's capacity) the machines emit.
+func TestActionsBatchesNilBeyondLength(t *testing.T) {
+	var a Actions
+	rng := rand.New(rand.NewSource(1))
+	for round := 0; round < 2000; round++ {
+		n := rng.Intn(40)
+		if rng.Intn(10) == 0 {
+			n = 200 + rng.Intn(200) // an occasional burst grows the array
+		}
+		for i := 0; i < n; i++ {
+			switch i % 4 {
+			case 0:
+				a.Send(i%2, BroadcastID, []byte{1})
+			case 1:
+				a.SetTimer(TimerID{Class: TimerJoin}, time.Second)
+			case 2:
+				a.CancelTimer(TimerID{Class: TimerJoin})
+			default:
+				a.Deliver(Delivery{Seq: uint32(i)})
+			}
+		}
+		batch := a.Drain()
+		for i, act := range batch[len(batch):cap(batch)] {
+			if act != nil {
+				t.Fatalf("round %d: element %d past the length %d is %#v", round, len(batch)+i, len(batch), act)
+			}
+		}
+		a.Recycle(batch)
 	}
 }
 

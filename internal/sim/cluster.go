@@ -507,34 +507,69 @@ func (c *Cluster) Corrupt(id proto.NodeID, sub string, seed int64) bool {
 
 // --- node internals ---
 
-// dispatch schedules work on the node's CPU: at time at, a slot of length
-// cost is reserved at the end of the CPU's current backlog and fn runs
-// when the slot begins. Reserving eagerly (instead of polling for a free
-// CPU) keeps event processing linear under saturation and preserves FIFO
-// order among simultaneous arrivals.
-func (n *Node) dispatch(at proto.Time, cost time.Duration, fn func(now proto.Time)) {
-	inc := n.incarnation
-	n.cluster.Sim.At(at, func() {
-		if n.crashed || n.incarnation != inc {
-			return
+// queue schedules a node event at time at: it reaches the node's CPU
+// then, under the node's current incarnation.
+func (n *Node) queue(at proto.Time, e *event) {
+	e.node, e.inc = n, n.incarnation
+	n.cluster.Sim.push(at, e)
+}
+
+// run executes one node event popped by the simulator; it reports
+// whether it queued e again, in which case e is still owned by the heap.
+//
+// A CPU event reserves a slot of length cost at the end of the CPU's
+// current backlog when it comes due and runs its handler when the slot
+// begins. Reserving eagerly (instead of polling for a free CPU) keeps
+// event processing linear under saturation and preserves FIFO order
+// among simultaneous arrivals. Work queued for a crashed node or for an
+// earlier incarnation is dropped at every stage, and a dropped frame
+// still releases its pool reference.
+func (n *Node) run(e *event) bool {
+	c := n.cluster
+	if n.crashed || n.incarnation != e.inc {
+		c.unref(e.ref)
+		return false
+	}
+	now := c.Sim.Now()
+	if e.kind == evTimer {
+		if n.timers[e.timer] != e.gen {
+			return false // cancelled or re-armed
 		}
-		now := n.cluster.Sim.Now()
-		start := now
-		if n.cpuBusy > start {
-			start = n.cpuBusy
+		delete(n.timers, e.timer)
+		e.kind = evTick
+		c.Sim.push(now, e)
+		return true
+	}
+	if !e.reserved {
+		start := max(now, n.cpuBusy)
+		n.cpuBusy = start + e.cost
+		if start != now {
+			e.reserved = true
+			c.Sim.push(start, e)
+			return true
 		}
-		n.cpuBusy = start + cost
-		if start == now {
-			fn(now)
-			return
+	}
+	switch e.kind {
+	case evTick:
+		if c.tracing {
+			c.cfg.Trace.Record(trace.Event{
+				At: now, Node: n.ID, Kind: trace.TimerFired, Network: -1,
+				A: int64(e.timer.Class), B: int64(e.timer.Arg),
+			})
 		}
-		n.cluster.Sim.At(start, func() {
-			if n.crashed || n.incarnation != inc {
-				return
-			}
-			fn(start)
-		})
-	})
+		n.execute(now, n.Stack.OnTimer(now, e.timer))
+	case evRecv, evLoopback:
+		if c.tracing && e.kind == evRecv {
+			kind, _ := wire.PeekKind(e.data)
+			c.cfg.Trace.Record(trace.Event{
+				At: now, Node: n.ID, Kind: trace.PacketReceived, Network: e.net,
+				A: int64(kind), B: int64(e.dest), C: int64(len(e.data)),
+			})
+		}
+		n.execute(now, n.Stack.OnPacket(now, e.net, e.data))
+		c.unref(e.ref)
+	}
+	return false
 }
 
 // execute performs the actions emitted by the stack at virtual time now.
@@ -554,35 +589,18 @@ func (n *Node) execute(now proto.Time, actions []proto.Action) {
 					A: int64(kind), B: int64(act.Dest), C: int64(len(act.Data)),
 				})
 			}
-			// Copy the action: delivery closures outlive the batch, whose
-			// *SendPacket objects are recycled when execute returns.
-			n.transmit(n.cpuBusy, *act)
-		case proto.SetTimer:
+			n.transmit(n.cpuBusy, act)
+		case *proto.SetTimer:
 			n.timerGen++
-			gen := n.timerGen
-			n.timers[act.ID] = gen
-			id := act.ID
+			n.timers[act.ID] = n.timerGen
 			after := act.After
 			if s := n.timerSkew; s > 0 && s != 1 {
 				after = time.Duration(float64(after) * s)
 			}
-			inc := n.incarnation
-			n.cluster.Sim.At(now+after, func() {
-				if n.crashed || n.incarnation != inc || n.timers[id] != gen {
-					return // cancelled, re-armed, or from a previous life
-				}
-				delete(n.timers, id)
-				n.dispatch(n.cluster.Sim.Now(), 0, func(t proto.Time) {
-					if c.tracing {
-						c.cfg.Trace.Record(trace.Event{
-							At: t, Node: n.ID, Kind: trace.TimerFired, Network: -1,
-							A: int64(id.Class), B: int64(id.Arg),
-						})
-					}
-					n.execute(t, n.Stack.OnTimer(t, id))
-				})
-			})
-		case proto.CancelTimer:
+			e := c.Sim.alloc()
+			e.kind, e.timer, e.gen = evTimer, act.ID, n.timerGen
+			n.queue(now+after, e)
+		case *proto.CancelTimer:
 			delete(n.timers, act.ID)
 		case *proto.Deliver:
 			n.cpuBusy += n.cluster.cfg.Host.DeliverCost
@@ -647,8 +665,9 @@ func (n *Node) execute(now proto.Time, actions []proto.Action) {
 	n.Stack.Recycle(actions)
 }
 
-// transmit puts a frame on a network at time t.
-func (n *Node) transmit(t proto.Time, pkt proto.SendPacket) {
+// transmit puts a frame on a network at time t. The scheduled deliveries
+// copy what they need out of pkt, which is recycled with its batch.
+func (n *Node) transmit(t proto.Time, pkt *proto.SendPacket) {
 	if n.blockedSend[pkt.Network] {
 		return
 	}
@@ -675,33 +694,29 @@ func (n *Node) transmit(t proto.Time, pkt proto.SendPacket) {
 			return // pooled frames are swept at the batch boundary
 		}
 	}
-	send := func(at proto.Time) {
-		if pkt.Dest == proto.BroadcastID {
-			for _, id := range n.cluster.order {
-				if id == n.ID {
-					continue
-				}
-				n.cluster.deliverFrame(net, n.ID, id, at, pkt, ref)
-			}
-			return
-		}
-		if pkt.Dest != n.ID {
-			n.cluster.deliverFrame(net, n.ID, pkt.Dest, at, pkt, ref)
-		} else {
-			// Unicast to self (singleton successor): loop straight back.
-			if ref != nil {
-				ref.refs++
-			}
-			n.dispatch(at, n.cluster.cfg.Host.RecvCost, func(now proto.Time) {
-				n.execute(now, n.Stack.OnPacket(now, pkt.Network, pkt.Data))
-				n.cluster.unref(ref)
-			})
-		}
-	}
-	send(arrival)
+	n.emit(net, arrival, pkt, ref)
 	if net.dupProb > 0 && net.rng.Float64() < net.dupProb {
 		// A babbling switch re-emits the whole frame a beat later.
-		send(arrival + 100*time.Microsecond)
+		n.emit(net, arrival+100*time.Microsecond, pkt, ref)
+	}
+}
+
+// emit delivers one transmitted frame arriving at time at to its
+// receivers: every other node for a broadcast, else the destination.
+func (n *Node) emit(net *network, at proto.Time, pkt *proto.SendPacket, ref *frameRef) {
+	c := n.cluster
+	switch pkt.Dest {
+	case proto.BroadcastID:
+		for _, id := range c.order {
+			if id != n.ID {
+				c.deliverFrame(net, n.ID, id, at, pkt, ref)
+			}
+		}
+	case n.ID:
+		// Unicast to self (singleton successor): loop straight back.
+		n.recv(evLoopback, net.idx, at, pkt, ref)
+	default:
+		c.deliverFrame(net, n.ID, pkt.Dest, at, pkt, ref)
 	}
 }
 
@@ -709,7 +724,7 @@ func (n *Node) transmit(t proto.Time, pkt proto.SendPacket) {
 // ref (which may be nil) is released once the receiver has processed the
 // frame, so pooled buffers are recycled exactly when the last scheduled
 // delivery completes.
-func (c *Cluster) deliverFrame(net *network, from, to proto.NodeID, at proto.Time, pkt proto.SendPacket, ref *frameRef) {
+func (c *Cluster) deliverFrame(net *network, from, to proto.NodeID, at proto.Time, pkt *proto.SendPacket, ref *frameRef) {
 	dst := c.nodes[to]
 	if dst == nil || dst.crashed {
 		return
@@ -720,18 +735,17 @@ func (c *Cluster) deliverFrame(net *network, from, to proto.NodeID, at proto.Tim
 	if dst.blockedRecv[net.idx] {
 		return
 	}
+	dst.recv(evRecv, net.idx, at, pkt, ref)
+}
+
+// recv schedules the arrival of a frame on network net at time at; the
+// node handles it on its CPU at RecvCost.
+func (n *Node) recv(kind eventKind, net int, at proto.Time, pkt *proto.SendPacket, ref *frameRef) {
 	if ref != nil {
 		ref.refs++
 	}
-	dst.dispatch(at, c.cfg.Host.RecvCost, func(now proto.Time) {
-		if c.tracing {
-			kind, _ := wire.PeekKind(pkt.Data)
-			c.cfg.Trace.Record(trace.Event{
-				At: now, Node: dst.ID, Kind: trace.PacketReceived, Network: net.idx,
-				A: int64(kind), B: int64(pkt.Dest), C: int64(len(pkt.Data)),
-			})
-		}
-		dst.execute(now, dst.Stack.OnPacket(now, net.idx, pkt.Data))
-		c.unref(ref)
-	})
+	e := n.cluster.Sim.alloc()
+	e.kind, e.cost = kind, n.cluster.cfg.Host.RecvCost
+	e.net, e.dest, e.data, e.ref = net, pkt.Dest, pkt.Data, ref
+	n.queue(at, e)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,7 +10,7 @@ import (
 
 // saturatedCluster builds a formed 4-node ring under a saturating
 // workload, ready for single-step measurement.
-func saturatedCluster(b *testing.B) *Cluster {
+func saturatedCluster(b testing.TB) *Cluster {
 	b.Helper()
 	c, err := NewCluster(Config{
 		Nodes:    4,
@@ -22,12 +23,13 @@ func saturatedCluster(b *testing.B) *Cluster {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, id := range c.NodeIDs() {
+	ids := c.NodeIDs()
+	for _, id := range ids {
 		c.Node(id).KeepPayloads = false
 	}
 	c.Start()
 	formed := c.RunUntil(func() bool {
-		for _, id := range c.NodeIDs() {
+		for _, id := range ids {
 			if len(c.Node(id).Stack.SRP().Members()) != 4 {
 				return false
 			}
@@ -40,7 +42,7 @@ func saturatedCluster(b *testing.B) *Cluster {
 	payload := make([]byte, 1000)
 	var pump func()
 	pump = func() {
-		for _, id := range c.NodeIDs() {
+		for _, id := range ids {
 			n := c.Node(id)
 			for i := 0; i < 32 && n.Stack.Backlog() < 32; i++ {
 				if !c.Submit(id, payload) {
@@ -86,5 +88,29 @@ func BenchmarkHotPathProbesDisabled(b *testing.B) {
 		if !c.Sim.Step() {
 			b.Fatal("event queue empty")
 		}
+	}
+}
+
+// TestSaturatedStepAllocs pins the steady-state simulation step: packet
+// arrivals, CPU slots and timer expiries are typed events and the SRP
+// recycles packet headers, so what remains is the one payload-region copy
+// each received data packet needs — at most one allocation per event on
+// average, where closures per scheduled packet once made it five.
+func TestSaturatedStepAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under -race")
+	}
+	c := saturatedCluster(t)
+	const steps = 20000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		if !c.Sim.Step() {
+			t.Fatal("event queue empty")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / steps; per > 1 {
+		t.Fatalf("saturated step: %.3f allocs per event, want at most 1", per)
 	}
 }

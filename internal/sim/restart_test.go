@@ -8,6 +8,7 @@ import (
 	"github.com/totem-rrp/totem/internal/proto"
 	"github.com/totem-rrp/totem/internal/stack"
 	"github.com/totem-rrp/totem/internal/trace"
+	"github.com/totem-rrp/totem/internal/wire"
 )
 
 func TestRestartRejoinsRing(t *testing.T) {
@@ -192,5 +193,64 @@ func TestRestartDeterminism(t *testing.T) {
 		if a[i].Seq != b[i].Seq || a[i].Ring != b[i].Ring || string(a[i].Payload) != string(b[i].Payload) {
 			t.Fatalf("runs diverged at %d: %v vs %v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestCrashRestartFencesQueuedWork: a packet delivery and a timer queued
+// for a node before it crashes never reach its next incarnation, and the
+// pooled frame the dropped delivery held is still released once the
+// frame's other receiver is done with it.
+func TestCrashRestartFencesQueuedWork(t *testing.T) {
+	ring := trace.NewRing(1 << 16)
+	cfg := baseConfig(2, 1, proto.ReplicationNone)
+	cfg.Trace = ring
+	c := mustCluster(t, cfg)
+	c.Start()
+	waitRing(t, c, 3*time.Second)
+
+	n1, n2 := c.Node(1), c.Node(2)
+	pkt := &wire.DataPacket{Ring: n2.Stack.SRP().Ring(), Sender: 2, Seq: 1 << 20,
+		Chunks: []wire.Chunk{{Flags: wire.ChunkFirst | wire.ChunkLast, Data: make([]byte, 777)}}}
+	frame, err := pkt.AppendEncode(wire.GetFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(frame))
+	ref := c.trackFrame(frame)
+	if ref == nil {
+		t.Fatal("data frame not tracked")
+	}
+	// The frame is on its way to both nodes, and node 2 has a timer armed.
+	now := c.Sim.Now()
+	send := &proto.SendPacket{Network: 0, Dest: proto.BroadcastID, Data: frame}
+	n1.recv(evRecv, 0, now+time.Millisecond, send, ref)
+	n2.recv(evRecv, 0, now+time.Millisecond, send, ref)
+	timer := proto.TimerID{Class: proto.TimerTokenHold, Arg: 99}
+	n2.execute(now, []proto.Action{&proto.SetTimer{ID: timer, After: time.Millisecond}})
+	if ref.refs != 2 {
+		t.Fatalf("frame refs = %d, want 2 scheduled deliveries", ref.refs)
+	}
+
+	c.Crash(2)
+	if err := c.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(2 * time.Millisecond)
+
+	got := map[proto.NodeID]int{}
+	for _, e := range ring.Events(nil) {
+		switch {
+		case e.At < now: // before the crash
+		case e.Kind == trace.PacketReceived && e.C == size:
+			got[e.Node]++
+		case e.Kind == trace.TimerFired && e.Node == 2 && e.B == 99:
+			t.Fatalf("a timer armed before the crash fired in the new incarnation at %v", e.At)
+		}
+	}
+	if got[1] != 1 || got[2] != 0 {
+		t.Fatalf("receptions of the frame = %v, want node 1 only", got)
+	}
+	if ref.refs != 0 || ref.data != nil {
+		t.Fatalf("frame not released: refs %d, data held %v", ref.refs, ref.data != nil)
 	}
 }

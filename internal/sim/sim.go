@@ -14,11 +14,52 @@ import (
 	"github.com/totem-rrp/totem/internal/proto"
 )
 
-// event is one scheduled callback.
+// eventKind selects what an event does when it runs. The cluster's
+// per-packet and per-timer work is typed, so the steady-state step
+// schedules no closure; only At/After (boot, fault scripts, workload
+// pumps) carry one.
+type eventKind uint8
+
+const (
+	// evFunc runs fn.
+	evFunc eventKind = iota
+	// evTimer is a timer expiry: if the timer is still armed (same
+	// incarnation and generation), it queues the handler on the node's
+	// CPU as an evTick at the same instant.
+	evTimer
+	// evTick runs the node's timer handler for timer on its CPU.
+	evTick
+	// evRecv hands a received frame to the node's stack on its CPU.
+	evRecv
+	// evLoopback is evRecv for a unicast a node sends to itself; it
+	// records no receive trace event.
+	evLoopback
+)
+
+// event is one scheduled unit of work: a callback (evFunc) or a typed
+// node event. A node event first queues on the node's CPU: if the CPU is
+// busy when the event comes due, the same event is pushed again at the
+// start of its reserved slot (reserved set) and runs then.
 type event struct {
-	at  proto.Time
-	seq uint64 // tie-break: FIFO among simultaneous events
-	fn  func()
+	at   proto.Time
+	seq  uint64 // tie-break: FIFO among simultaneous events
+	kind eventKind
+	fn   func()
+
+	// Node events. inc fences work queued for an earlier incarnation of
+	// node; cost is the CPU time the handler's slot reserves.
+	node     *Node
+	inc      uint64
+	reserved bool
+	cost     time.Duration
+	// Packet arrival.
+	net  int
+	dest proto.NodeID
+	data []byte
+	ref  *frameRef
+	// Timer expiry.
+	timer proto.TimerID
+	gen   uint64
 }
 
 // before is the queue order: by time, FIFO among simultaneous events.
@@ -97,21 +138,39 @@ func NewSimulator() *Simulator {
 // Now returns the current virtual time.
 func (s *Simulator) Now() proto.Time { return s.now }
 
-// At schedules fn at absolute virtual time t (clamped to now).
-func (s *Simulator) At(t proto.Time, fn func()) {
+// alloc returns a zeroed event from the free list.
+func (s *Simulator) alloc() *event {
+	if n := len(s.free); n > 0 {
+		e := s.free[n-1]
+		s.free = s.free[:n-1]
+		return e
+	}
+	return new(event)
+}
+
+// push queues e at absolute virtual time t (clamped to now), taking the
+// next sequence number.
+func (s *Simulator) push(t proto.Time, e *event) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	var e *event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		e = new(event)
-	}
-	e.at, e.seq, e.fn = t, s.seq, fn
+	e.at, e.seq = t, s.seq
 	s.events.push(e)
+}
+
+// release zeroes e (so the free list pins no frame, node or closure) and
+// returns it to the free list.
+func (s *Simulator) release(e *event) {
+	*e = event{}
+	s.free = append(s.free, e)
+}
+
+// At schedules fn at absolute virtual time t (clamped to now).
+func (s *Simulator) At(t proto.Time, fn func()) {
+	e := s.alloc()
+	e.fn = fn
+	s.push(t, e)
 }
 
 // After schedules fn d after the current time.
@@ -126,11 +185,16 @@ func (s *Simulator) Step() bool {
 	}
 	e := s.events.pop()
 	s.now = e.at
-	fn := e.fn
-	// Recycle before running: e is off the heap and fn may schedule.
-	e.fn = nil
-	s.free = append(s.free, e)
-	fn()
+	if e.kind == evFunc {
+		fn := e.fn
+		// Recycle before running: e is off the heap and fn may schedule.
+		s.release(e)
+		fn()
+		return true
+	}
+	if !e.node.run(e) {
+		s.release(e)
+	}
 	return true
 }
 

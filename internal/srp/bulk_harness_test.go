@@ -223,7 +223,7 @@ func TestMidFragmentConfigChangeRestartsWholeMessage(t *testing.T) {
 
 	// Pull the first fragment directly and drop it on the floor — the
 	// machine is now mid-message with a fragment the ring never carried.
-	pulled := n1.m.packer.NextChunksInteractive()
+	pulled := n1.m.packer.AppendChunks(nil, false)
 	if len(pulled) != 1 || pulled[0].Flags&wire.ChunkFirst == 0 || pulled[0].Flags&wire.ChunkLast != 0 {
 		t.Fatalf("expected one First non-Last fragment, got %d chunks", len(pulled))
 	}

@@ -63,7 +63,7 @@ func TestConsensusMemberWaitsForCommit(t *testing.T) {
 	// A wait timer must be armed.
 	armed := false
 	for _, a := range acts.Drain() {
-		if st, ok := a.(proto.SetTimer); ok && st.ID.Class == proto.TimerCommitRetransmit {
+		if st, ok := a.(*proto.SetTimer); ok && st.ID.Class == proto.TimerCommitRetransmit {
 			armed = true
 		}
 	}
@@ -118,7 +118,6 @@ func TestCommitTokenFirstPassFillsEntry(t *testing.T) {
 	// Simulate an old ring so the entry carries recovery state.
 	m.old = &oldRing{
 		ring: proto.RingID{Rep: 1, Epoch: 4},
-		rx:   map[uint32]*wire.DataPacket{},
 		aru:  7, high: 9,
 		asm: wire.NewAssembler(),
 	}

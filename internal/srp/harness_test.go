@@ -142,7 +142,7 @@ func (h *harness) at(t proto.Time, fn func()) {
 func (n *hNode) drain() {
 	for _, a := range n.acts.Drain() {
 		switch act := a.(type) {
-		case proto.SetTimer:
+		case *proto.SetTimer:
 			n.tgen++
 			gen := n.tgen
 			id := act.ID
@@ -155,7 +155,7 @@ func (n *hNode) drain() {
 				n.m.OnTimer(n.h.now, id)
 				n.drain()
 			})
-		case proto.CancelTimer:
+		case *proto.CancelTimer:
 			delete(n.timers, act.ID)
 		case *proto.Deliver:
 			n.delivered = append(n.delivered, act.Msg)

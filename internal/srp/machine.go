@@ -71,7 +71,7 @@ func (k tokenKey) newer(o tokenKey) bool {
 type oldRing struct {
 	ring        proto.RingID
 	members     nodeSet
-	rx          map[uint32]*wire.DataPacket
+	rx          rxWindow
 	aru         uint32
 	high        uint32
 	deliveredTo uint32
@@ -93,7 +93,7 @@ type Machine struct {
 	// Operational ring state.
 	packer           wire.Packer
 	asm              *wire.Assembler
-	rx               map[uint32]*wire.DataPacket
+	rx               rxWindow
 	myAru            uint32
 	highSeq          uint32
 	deliveredTo      uint32
@@ -121,6 +121,10 @@ type Machine struct {
 	bulkBufs map[uint32][][]byte
 	// bulkFree is the recycled-envelope free list SubmitBulk draws from.
 	bulkFree [][]byte
+
+	// pktFree recycles the headers and chunk slices of pruned and
+	// rejected current-ring packets.
+	pktFree packetFree
 
 	// Gather state.
 	procSet   nodeSet
@@ -195,7 +199,6 @@ func NewMachine(cfg Config, out Outbound, acts *proto.Actions) (*Machine, error)
 		state:     StateIdle,
 		maxEpoch:  cfg.InitialEpoch,
 		asm:       wire.NewAssembler(),
-		rx:        make(map[uint32]*wire.DataPacket),
 		joinEpoch: make(map[proto.NodeID]uint32),
 		bulkRx:    bulk.NewRx(cfg.MaxBulkTransfer, maxBulkPartials),
 		bulkBufs:  make(map[uint32][][]byte),
@@ -340,11 +343,10 @@ func (m *Machine) OnPacket(now proto.Time, data []byte) {
 			m.ctr.duplicates.Inc()
 			return
 		}
-		pkt, err := wire.DecodeData(data)
-		if err != nil {
-			return
+		pkt := m.pktFree.get()
+		if err := wire.DecodeDataInto(pkt, data); err != nil || !m.onData(now, pkt) {
+			m.pktFree.put(pkt)
 		}
-		m.onData(now, pkt)
 	case wire.KindToken:
 		tok, err := wire.DecodeToken(data)
 		if err != nil {
@@ -386,7 +388,7 @@ func (m *Machine) heldData(data []byte) bool {
 	if err != nil || ring != m.ring || seq == 0 {
 		return false
 	}
-	return seq <= m.myAru || m.rx[seq] != nil
+	return seq <= m.myAru || m.rx.get(seq) != nil
 }
 
 // OnTimer processes an expired timer.
@@ -452,7 +454,9 @@ func (m *Machine) isRep() bool {
 func (m *Machine) resetRingState() {
 	m.heldToken = nil
 	m.acts.CancelTimer(proto.TimerID{Class: proto.TimerTokenHold})
-	m.rx = make(map[uint32]*wire.DataPacket)
+	// Packets left from an aborted recovery fall to the GC with the
+	// window (resets are rare).
+	m.rx = rxWindow{}
 	m.myAru = 0
 	m.highSeq = 0
 	m.deliveredTo = 0

@@ -57,7 +57,9 @@ func (m *Machine) snapshotOld() {
 		deliveredTo: m.deliveredTo,
 		asm:         m.asm,
 	}
-	m.rx = make(map[uint32]*wire.DataPacket)
+	// The old ring keeps its packets (and the window's buffer); they fall
+	// to the GC with m.old rather than returning to the free list.
+	m.rx = rxWindow{}
 	m.asm = wire.NewAssembler()
 }
 

@@ -23,6 +23,9 @@ type counters struct {
 	// reassemblyDropped counts fragments the assemblers discarded: a
 	// continuation with no start, or a prefix abandoned by a fresh start.
 	reassemblyDropped *metrics.Counter
+	// rxBeyondWindow counts data packets dropped for a sequence number
+	// too far past the receive window to come from a correct sender.
+	rxBeyondWindow *metrics.Counter
 
 	// Bulk lane.
 	bulkSubmitted   *metrics.Counter
@@ -51,6 +54,7 @@ func newCounters(reg *metrics.Registry) counters {
 		tokenLosses:       c("token_losses"),
 		configChanges:     c("config_changes"),
 		reassemblyDropped: c("reassembly_dropped"),
+		rxBeyondWindow:    c("rx_beyond_window"),
 		bulkSubmitted:     c("bulk_submitted"),
 		bulkRejected:      c("bulk_rejected"),
 		bulkChunksAcked:   c("bulk_chunks_acked"),

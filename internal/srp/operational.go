@@ -5,31 +5,34 @@ import (
 	"github.com/totem-rrp/totem/internal/wire"
 )
 
-// onData processes a data packet.
-func (m *Machine) onData(now proto.Time, pkt *wire.DataPacket) {
+// onData processes a decoded data packet. It reports whether the packet
+// was retained; a rejected packet is the caller's to recycle.
+func (m *Machine) onData(now proto.Time, pkt *wire.DataPacket) bool {
 	if pkt.Ring != m.ring || (m.state != StateOperational && m.state != StateRecovery) {
 		// A packet from a strictly newer configuration means we missed a
 		// membership change (e.g. we were partitioned out): rejoin.
 		if m.state == StateOperational && pkt.Ring.Epoch > m.ring.Epoch {
 			m.enterGather(now, nil, nil)
 		}
-		return
+		return false
 	}
 	seq := pkt.Seq
 	if seq == 0 {
-		return
+		return false
 	}
-	if seq <= m.myAru || m.rx[seq] != nil {
+	if seq <= m.myAru || m.rx.get(seq) != nil {
 		m.ctr.duplicates.Inc()
-		return
+		return false
 	}
-	m.rx[seq] = pkt
+	if m.rx.beyond(seq, rxBeyondWindows*uint32(m.cfg.WindowSize)) {
+		m.ctr.rxBeyondWindow.Inc()
+		return false
+	}
+	m.rx.put(seq, pkt)
 	if seq > m.highSeq {
 		m.highSeq = seq
 	}
-	for m.rx[m.myAru+1] != nil {
-		m.myAru++
-	}
+	m.advanceAru()
 	m.ctr.packetsReceived.Inc()
 
 	if pkt.Flags&wire.FlagRecovery != 0 {
@@ -47,6 +50,14 @@ func (m *Machine) onData(now proto.Time, pkt *wire.DataPacket) {
 	if m.state == StateOperational {
 		m.deliverPending(now)
 	}
+	return true
+}
+
+// advanceAru moves myAru over every contiguous retained packet.
+func (m *Machine) advanceAru() {
+	for m.rx.get(m.myAru+1) != nil {
+		m.myAru++
+	}
 }
 
 // deliverPending delivers every contiguous packet up to the delivery
@@ -58,7 +69,7 @@ func (m *Machine) deliverPending(now proto.Time) {
 		horizon = m.safeTo
 	}
 	for s := m.deliveredTo + 1; s <= horizon; s++ {
-		pkt := m.rx[s]
+		pkt := m.rx.get(s)
 		if pkt == nil {
 			// Below myAru every packet is present unless already pruned;
 			// pruning never outruns deliveredTo, so this is unreachable,
@@ -108,13 +119,7 @@ func (m *Machine) prune() {
 	if m.deliveredTo < horizon {
 		horizon = m.deliveredTo
 	}
-	// The map holds at most window-size packets above the horizon, so a
-	// sweep keyed on presence is cheap.
-	for s := range m.rx {
-		if s <= horizon {
-			delete(m.rx, s)
-		}
-	}
+	m.rx.prune(horizon, &m.pktFree)
 	// A pruned packet can never be re-encoded for retransmission, so the
 	// bulk envelope buffers its chunks aliased are now recyclable.
 	for s, bufs := range m.bulkBufs {
@@ -134,13 +139,15 @@ func (m *Machine) prune() {
 // this node is the only ring member: no token circulation is needed.
 func (m *Machine) flushSingleton(now proto.Time) {
 	for !m.packer.Empty() {
-		chunks := m.packer.NextChunks()
-		if chunks == nil {
+		pkt := m.pktFree.get()
+		pkt.Chunks = m.packer.AppendChunks(pkt.Chunks, true)
+		if len(pkt.Chunks) == 0 {
+			m.pktFree.put(pkt)
 			break
 		}
 		seq := m.highSeq + 1
-		pkt := &wire.DataPacket{Ring: m.ring, Sender: m.cfg.ID, Seq: seq, Chunks: chunks}
-		m.rx[seq] = pkt
+		pkt.Ring, pkt.Sender, pkt.Seq = m.ring, m.cfg.ID, seq
+		m.rx.put(seq, pkt)
 		m.highSeq = seq
 		m.myAru = seq
 		m.ctr.packetsSent.Inc()
@@ -168,11 +175,12 @@ func (m *Machine) rolloverRing(now proto.Time, seq uint32) {
 	m.enterGather(now, nil, nil)
 }
 
-// broadcastPacket encodes, self-stores and broadcasts one data packet,
-// advancing the token sequence number.
-func (m *Machine) broadcastPacket(tok *wire.Token, flags uint8, chunks []wire.Chunk) bool {
+// broadcastPacket encodes, self-stores and broadcasts one data packet
+// whose Chunks (and Flags) the caller filled, advancing the token
+// sequence number. The machine takes pkt over either way.
+func (m *Machine) broadcastPacket(tok *wire.Token, pkt *wire.DataPacket) bool {
 	seq := tok.Seq + 1
-	pkt := &wire.DataPacket{Ring: m.ring, Sender: m.cfg.ID, Seq: seq, Flags: flags, Chunks: chunks}
+	pkt.Ring, pkt.Sender, pkt.Seq = m.ring, m.cfg.ID, seq
 	// Data packets are the steady-state hot path: encode into a pooled
 	// frame. Ownership passes to the driver via Broadcast; only the decoded
 	// pkt is retained (in m.rx), never the raw bytes.
@@ -181,16 +189,15 @@ func (m *Machine) broadcastPacket(tok *wire.Token, flags uint8, chunks []wire.Ch
 		// Programmer error (packer guarantees budget); drop the packet
 		// rather than wedge the ring.
 		wire.PutFrame(data)
+		m.pktFree.put(pkt)
 		return false
 	}
 	tok.Seq = seq
-	m.rx[seq] = pkt
+	m.rx.put(seq, pkt)
 	if seq > m.highSeq {
 		m.highSeq = seq
 	}
-	for m.rx[m.myAru+1] != nil {
-		m.myAru++
-	}
+	m.advanceAru()
 	m.out.Broadcast(data)
 	m.ctr.packetsSent.Inc()
 	return true
@@ -343,7 +350,7 @@ func (m *Machine) serveRetransmissions(tok *wire.Token) uint32 {
 	var sent uint32
 	kept := tok.RTR[:0]
 	for _, s := range tok.RTR {
-		pkt := m.rx[s]
+		pkt := m.rx.get(s)
 		if pkt == nil {
 			kept = append(kept, s)
 			continue
@@ -375,7 +382,7 @@ func (m *Machine) requestRetransmissions(tok *wire.Token) {
 		return
 	}
 	for s := m.myAru + 1; s <= tok.Seq && len(tok.RTR) < wire.MaxRTR; s++ {
-		if m.rx[s] != nil || rtrContains(tok.RTR, s) {
+		if m.rx.get(s) != nil || rtrContains(tok.RTR, s) {
 			continue
 		}
 		tok.RTR = append(tok.RTR, s)
@@ -426,9 +433,10 @@ func (m *Machine) sendNewTraffic(tok *wire.Token) uint32 {
 			if len(m.recQueue) == 0 {
 				return sent
 			}
-			inner := m.recQueue[0]
-			chunks := []wire.Chunk{{Flags: wire.ChunkFirst | wire.ChunkLast, Data: inner}}
-			if !m.broadcastPacket(tok, wire.FlagRecovery, chunks) {
+			pkt := m.pktFree.get()
+			pkt.Flags = wire.FlagRecovery
+			pkt.Chunks = append(pkt.Chunks, wire.Chunk{Flags: wire.ChunkFirst | wire.ChunkLast, Data: m.recQueue[0]})
+			if !m.broadcastPacket(tok, pkt) {
 				m.recQueue = m.recQueue[1:]
 				continue
 			}
@@ -437,20 +445,18 @@ func (m *Machine) sendNewTraffic(tok *wire.Token) uint32 {
 			if m.packer.Empty() {
 				return sent
 			}
-			var chunks []wire.Chunk
-			if bulkAllowed > 0 {
-				chunks = m.packer.NextChunks()
-			} else {
-				// Bulk budget spent: drain the interactive lane only.
-				chunks = m.packer.NextChunksInteractive()
-			}
-			if chunks == nil {
+			// Once the bulk budget is spent, drain the interactive lane
+			// only.
+			pkt := m.pktFree.get()
+			pkt.Chunks = m.packer.AppendChunks(pkt.Chunks, bulkAllowed > 0)
+			if len(pkt.Chunks) == 0 {
+				m.pktFree.put(pkt)
 				return sent
 			}
 			// Interactive chunks fill first, so a packet whose first chunk
 			// is bulk carries only bulk.
-			bulkOnly := chunks[0].Flags&wire.ChunkBulk != 0
-			if !m.broadcastPacket(tok, 0, chunks) {
+			bulkOnly := pkt.Chunks[0].Flags&wire.ChunkBulk != 0
+			if !m.broadcastPacket(tok, pkt) {
 				continue
 			}
 			if bufs := m.packer.TakeFinishedBulk(); len(bufs) > 0 {

@@ -52,7 +52,7 @@ func mkData(m *Machine, sender proto.NodeID, seq uint32, payload string) *wire.D
 
 func TestServeRetransmissionsServesAndPrunesRTR(t *testing.T) {
 	m, out, _ := operationalMachine(t, 2)
-	m.rx[5] = mkData(m, 1, 5, "five")
+	m.rx.put(5, mkData(m, 1, 5, "five"))
 	tok := &wire.Token{Ring: m.ring, Seq: 10, RTR: []uint32{5, 7}}
 	sent := m.serveRetransmissions(tok)
 	if sent != 1 {
@@ -78,8 +78,8 @@ func TestServeRetransmissionsServesAndPrunesRTR(t *testing.T) {
 
 func TestRequestRetransmissionsAddsGapsOnly(t *testing.T) {
 	m, _, _ := operationalMachine(t, 2)
-	m.rx[1] = mkData(m, 1, 1, "one")
-	m.rx[3] = mkData(m, 1, 3, "three")
+	m.rx.put(1, mkData(m, 1, 1, "one"))
+	m.rx.put(3, mkData(m, 1, 3, "three"))
 	m.myAru = 1
 	tok := &wire.Token{Ring: m.ring, Seq: 5, RTR: []uint32{4}}
 	m.requestRetransmissions(tok)
@@ -184,16 +184,16 @@ func TestSafeModeHoldsDeliveryUntilSafe(t *testing.T) {
 
 func TestPruneKeepsUnsafePackets(t *testing.T) {
 	m, _, _ := operationalMachine(t, 2)
-	m.rx[1] = mkData(m, 1, 1, "a")
-	m.rx[2] = mkData(m, 1, 2, "b")
+	m.rx.put(1, mkData(m, 1, 1, "a"))
+	m.rx.put(2, mkData(m, 1, 2, "b"))
 	m.myAru = 2
 	m.deliveredTo = 2
 	m.safeTo = 1
 	m.prune()
-	if m.rx[1] != nil {
+	if m.rx.get(1) != nil {
 		t.Fatal("safe+delivered packet not pruned")
 	}
-	if m.rx[2] == nil {
+	if m.rx.get(2) == nil {
 		t.Fatal("unsafe packet pruned — retransmission would be impossible")
 	}
 }
@@ -207,7 +207,7 @@ func TestForwardTokenArmsTimersAndRecordsState(t *testing.T) {
 	}
 	var sawRetrans, sawLoss bool
 	for _, a := range acts.Drain() {
-		if st, ok := a.(proto.SetTimer); ok {
+		if st, ok := a.(*proto.SetTimer); ok {
 			switch st.ID.Class {
 			case proto.TimerTokenRetransmit:
 				sawRetrans = true
@@ -346,7 +346,7 @@ func TestHeldDataPacketDroppedBeforeDecodeAllocs(t *testing.T) {
 	held := encode(mkData(m, 1, 3, "third"))
 	m.OnPacket(0, delivered)
 	m.OnPacket(0, held)
-	if got := drainDeliveries(acts); len(got) != 1 || m.myAru != 1 || m.rx[3] == nil {
+	if got := drainDeliveries(acts); len(got) != 1 || m.myAru != 1 || m.rx.get(3) == nil {
 		t.Fatalf("setup: %d deliveries, aru %d", len(got), m.myAru)
 	}
 	for name, data := range map[string][]byte{"delivered": delivered, "held": held} {

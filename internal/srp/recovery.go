@@ -44,7 +44,7 @@ func (m *Machine) beginRecovery(now proto.Time, c *wire.CommitToken) {
 				}
 			}
 			for s := lowAru + 1; s <= highAll && s != 0; s++ {
-				pkt := m.old.rx[s]
+				pkt := m.old.rx.get(s)
 				if pkt == nil {
 					continue
 				}
@@ -89,10 +89,10 @@ func (m *Machine) unwrapRecovery(pkt *wire.DataPacket) {
 	if inner.Ring != m.old.ring || inner.Seq == 0 {
 		return
 	}
-	if inner.Seq <= m.old.deliveredTo || m.old.rx[inner.Seq] != nil {
+	if inner.Seq <= m.old.deliveredTo || m.old.rx.get(inner.Seq) != nil {
 		return
 	}
-	m.old.rx[inner.Seq] = inner
+	m.old.rx.put(inner.Seq, inner)
 }
 
 // completeRecovery finishes the membership change: it cancels the commit
@@ -122,7 +122,7 @@ func (m *Machine) deliverOldAndInstall(now proto.Time) {
 		})
 		m.ctr.configChanges.Inc()
 		for s := m.old.deliveredTo + 1; ; s++ {
-			pkt := m.old.rx[s]
+			pkt := m.old.rx.get(s)
 			if pkt == nil {
 				break
 			}
@@ -139,7 +139,7 @@ func (m *Machine) deliverOldAndInstall(now proto.Time) {
 		// commit round) silently drops its own accepted messages while the
 		// rest of the old ring goes on to deliver them.
 		for s := m.old.deliveredTo + 1; s <= m.old.high && s != 0; s++ {
-			pkt := m.old.rx[s]
+			pkt := m.old.rx.get(s)
 			if pkt == nil || !trans.contains(pkt.Sender) {
 				continue
 			}

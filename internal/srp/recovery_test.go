@@ -13,9 +13,9 @@ func recoveringMachine(t *testing.T, id proto.NodeID, seqs ...uint32) *Machine {
 	t.Helper()
 	m, _, _ := operationalMachine(t, id)
 	for _, s := range seqs {
-		m.rx[s] = mkData(m, 1, s, "old")
+		m.rx.put(s, mkData(m, 1, s, "old"))
 	}
-	for m.rx[m.myAru+1] != nil {
+	for m.rx.get(m.myAru+1) != nil {
 		m.myAru++
 	}
 	for _, s := range seqs {
@@ -135,7 +135,7 @@ func TestUnwrapRecoveryFiltersForeignAndStale(t *testing.T) {
 	good := &wire.DataPacket{Ring: oldRing, Sender: 3, Seq: 5,
 		Chunks: []wire.Chunk{{Flags: wire.ChunkFirst | wire.ChunkLast, Data: []byte("good")}}}
 	m.unwrapRecovery(wrap(good))
-	if m.old.rx[5] == nil {
+	if m.old.rx.get(5) == nil {
 		t.Fatal("old-ring packet not unwrapped")
 	}
 
@@ -144,7 +144,7 @@ func TestUnwrapRecoveryFiltersForeignAndStale(t *testing.T) {
 	foreign := &wire.DataPacket{Ring: proto.RingID{Rep: 9, Epoch: 4}, Sender: 9, Seq: 6,
 		Chunks: []wire.Chunk{{Flags: wire.ChunkFirst | wire.ChunkLast, Data: []byte("foreign")}}}
 	m.unwrapRecovery(wrap(foreign))
-	if m.old.rx[6] != nil {
+	if m.old.rx.get(6) != nil {
 		t.Fatal("foreign-ring packet accepted into old-ring buffer")
 	}
 
@@ -218,9 +218,9 @@ func TestSingletonTransitionDeliversOwnMessagesPastGap(t *testing.T) {
 	// delivered transitionally, while the foreign 4 is forfeited with the
 	// gap (node 1 is not in the transitional configuration).
 	m, _, acts := operationalMachine(t, 2)
-	m.rx[4] = mkData(m, 1, 4, "four")
-	m.rx[5] = mkData(m, 2, 5, "five")
-	m.rx[7] = mkData(m, 2, 7, "seven")
+	m.rx.put(4, mkData(m, 1, 4, "four"))
+	m.rx.put(5, mkData(m, 2, 5, "five"))
+	m.rx.put(7, mkData(m, 2, 7, "seven"))
 	m.highSeq = 7
 	m.snapshotOld()
 	m.state = StateGather

@@ -89,7 +89,7 @@ func TestTimerRouting(t *testing.T) {
 	acts := n.OnTimer(time.Second, proto.TimerID{Class: proto.TimerRRPDecay})
 	rearmed := false
 	for _, a := range acts {
-		if st, ok := a.(proto.SetTimer); ok && st.ID.Class == proto.TimerRRPDecay {
+		if st, ok := a.(*proto.SetTimer); ok && st.ID.Class == proto.TimerRRPDecay {
 			rearmed = true
 		}
 	}
@@ -166,7 +166,7 @@ func TestMissingCallbackWiring(t *testing.T) {
 	acts := n.OnPacket(0, 0, data)
 	held := false
 	for _, a := range acts {
-		if st, ok := a.(proto.SetTimer); ok && st.ID.Class == proto.TimerRRPToken {
+		if st, ok := a.(*proto.SetTimer); ok && st.ID.Class == proto.TimerRRPToken {
 			held = true
 		}
 	}

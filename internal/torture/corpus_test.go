@@ -1,6 +1,7 @@
 package torture
 
 import (
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -72,5 +73,46 @@ func TestCorpusReplaysAreDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Violation, b.Violation) {
 		t.Fatalf("violations differ across replays: %v vs %v", a.Violation, b.Violation)
+	}
+}
+
+// TestCorpusTracesPinned holds two fault-heavy programs — an active one
+// and a passive one, full of timer expiries, token losses and membership
+// changes — to the exact event streams the closure-based simulator
+// scheduler produced: event count, FNV-64a of every formatted trace line,
+// and deliveries. Unlike the throughput pins, these see the order in
+// which simultaneous timer, packet and CPU-slot events run. A change
+// that means to alter protocol behaviour re-records them; a refactor of
+// the scheduler or the machines must leave them alone.
+func TestCorpusTracesPinned(t *testing.T) {
+	for _, pin := range []struct {
+		file      string
+		events    int
+		hash      uint64
+		delivered uint64
+	}{
+		{"corpus/fixed-membership-livelock.json", 285973, 0x62dccd585d80cee4, 13713},
+		{"corpus/chaos-held-token-leak.json", 188121, 0x7d3ce46457686e55, 16000},
+	} {
+		t.Run(filepath.Base(pin.file), func(t *testing.T) {
+			r, err := LoadRepro(pin.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No chaos: the canary's program, run as the fixed protocol.
+			res, err := Execute(r.Program, Options{TraceCap: 300_000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for _, line := range res.TraceTail {
+				h.Write([]byte(line))
+				h.Write([]byte{'\n'})
+			}
+			if len(res.TraceTail) != pin.events || h.Sum64() != pin.hash || res.Delivered != pin.delivered {
+				t.Fatalf("%d events, hash %#x, %d delivered; pinned %d, %#x, %d",
+					len(res.TraceTail), h.Sum64(), res.Delivered, pin.events, pin.hash, pin.delivered)
+			}
+		})
 	}
 }

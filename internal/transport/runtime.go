@@ -242,9 +242,9 @@ func (r *Runtime) execute(actions []proto.Action) {
 				})
 			}
 			r.noteSent(act.Data)
-		case proto.SetTimer:
+		case *proto.SetTimer:
 			r.setTimer(act.ID, act.After)
-		case proto.CancelTimer:
+		case *proto.CancelTimer:
 			r.cancelTimer(act.ID)
 		case *proto.Deliver:
 			if r.deliveryTap != nil {

@@ -57,7 +57,7 @@ func TestRuntimeFlushesBatchingTransport(t *testing.T) {
 
 	fake.events = fake.events[:0]
 	r.execute(nil)
-	r.execute([]proto.Action{proto.CancelTimer{ID: proto.TimerID{}}})
+	r.execute([]proto.Action{&proto.CancelTimer{ID: proto.TimerID{}}})
 	if len(fake.events) != 0 {
 		t.Fatalf("sendless batches flushed: %v", fake.events)
 	}

@@ -100,23 +100,27 @@ const maxWhole = MaxPayload - ChunkOverhead
 
 // NextChunks fills one packet's worth of chunks from both lanes, honouring
 // the packing rules above. It returns nil when both queues are empty.
-func (p *Packer) NextChunks() []Chunk { return p.nextChunks(MaxPayload, true) }
+func (p *Packer) NextChunks() []Chunk { return p.nextChunks(nil, MaxPayload, true) }
 
-// NextChunksInteractive fills one packet from the interactive lane only,
-// leaving the bulk lane untouched. The SRP uses it once a token visit's
-// bulk budget is spent.
-func (p *Packer) NextChunksInteractive() []Chunk { return p.nextChunks(MaxPayload, false) }
+// AppendChunks is NextChunks filling dst[:0] instead of a fresh slice, so
+// a caller that recycles chunk slices packs without allocating. Without
+// allowBulk it fills from the interactive lane only, leaving the bulk
+// lane untouched; the SRP does that once a token visit's bulk budget is
+// spent. It returns dst[:0] when there is nothing to send.
+func (p *Packer) AppendChunks(dst []Chunk, allowBulk bool) []Chunk {
+	return p.nextChunks(dst[:0], MaxPayload, allowBulk)
+}
 
-// nextChunks is the budget-parameterised core of NextChunks; tests drive
-// it with tiny budgets to audit the boundary arithmetic exhaustively. The
-// invariants, regardless of budget (which must exceed ChunkOverhead):
-// every chunk's framed size fits the remaining budget, no continuation
-// chunk is ever empty (a fragment boundary landing exactly on the budget
-// closes the packet instead of emitting a zero-byte chunk), and at most
-// MaxChunks chunks are emitted per packet (the encoder's hard cap, which
-// tiny messages would otherwise overflow).
-func (p *Packer) nextChunks(budget int, allowBulk bool) []Chunk {
-	var chunks []Chunk
+// nextChunks is the budget-parameterised core of NextChunks, appending to
+// chunks (which must be empty); tests drive it with tiny budgets to audit
+// the boundary arithmetic exhaustively. The invariants, regardless of
+// budget (which must exceed ChunkOverhead): every chunk's framed size fits
+// the remaining budget, no continuation chunk is ever empty (a fragment
+// boundary landing exactly on the budget closes the packet instead of
+// emitting a zero-byte chunk), and at most MaxChunks chunks are emitted
+// per packet (the encoder's hard cap, which tiny messages would otherwise
+// overflow).
+func (p *Packer) nextChunks(chunks []Chunk, budget int, allowBulk bool) []Chunk {
 	full := budget
 	it := &p.lane[LaneInteractive]
 interactive:

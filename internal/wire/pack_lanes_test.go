@@ -84,7 +84,7 @@ func drainBudget(t *testing.T, p *Packer, budget int, wantInteractive, wantBulk 
 		if i > 100000 {
 			t.Fatalf("budget %d: livelock", budget)
 		}
-		chunks := p.nextChunks(budget, true)
+		chunks := p.nextChunks(nil, budget, true)
 		if len(chunks) == 0 {
 			t.Fatalf("budget %d: no progress with %d+%d messages queued",
 				budget, p.Backlog(), p.BulkBacklog())
@@ -295,7 +295,7 @@ func TestPackerInteractiveOnlySkipsBulk(t *testing.T) {
 	var p Packer
 	p.Enqueue(fill(100, 1))
 	p.EnqueueBulk(fill(100, 2))
-	chunks := p.NextChunksInteractive()
+	chunks := p.AppendChunks(nil, false)
 	if len(chunks) != 1 || chunks[0].Flags&ChunkBulk != 0 {
 		t.Fatalf("interactive-only packet leaked bulk chunks: %+v", chunks)
 	}

@@ -392,3 +392,34 @@ func TestQuickPackerNeverFragmentsSmallMessages(t *testing.T) {
 }
 
 var _ = proto.NodeID(0)
+
+// TestAppendChunksRecycledAllocs pins the send side of a packed packet:
+// packing thirteen queued 100 B messages (a full packet) into a recycled
+// chunk slice and encoding them into a pooled frame allocates nothing.
+func TestAppendChunksRecycledAllocs(t *testing.T) {
+	var p Packer
+	msg := fill(100, 1)
+	const runs = 100
+	for i := 0; i < 13*(runs+1); i++ {
+		p.Enqueue(msg)
+	}
+	pkt := &DataPacket{Ring: proto.RingID{Rep: 1, Epoch: 7}, Sender: 1, Chunks: make([]Chunk, 0, 16)}
+	allocs := testing.AllocsPerRun(runs, func() {
+		pkt.Chunks = p.AppendChunks(pkt.Chunks, true)
+		if len(pkt.Chunks) != 13 {
+			t.Fatalf("packed %d messages, want 13", len(pkt.Chunks))
+		}
+		pkt.Seq++
+		frame, err := pkt.AppendEncode(GetFrame())
+		if err != nil {
+			t.Fatal(err)
+		}
+		PutFrame(frame)
+	})
+	if allocs != 0 {
+		t.Fatalf("packing and encoding through a recycled chunk slice: %v allocs, want 0", allocs)
+	}
+	if got := p.AppendChunks(pkt.Chunks, true); got == nil || len(got) != 0 {
+		t.Fatalf("AppendChunks on an empty packer = %v, want an empty slice", got)
+	}
+}

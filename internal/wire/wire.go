@@ -282,44 +282,56 @@ func (p *DataPacket) AppendEncode(buf []byte) ([]byte, error) {
 // flags(1) + length(2).
 const ChunkOverhead = 3
 
-// DecodeData parses a KindData packet. The decoded packet never aliases
-// data: the chunk region is copied once into a private buffer and every
-// chunk's Data is a capacity-limited sub-slice of that copy, so a decode
-// costs three allocations (packet, chunk slice, payload buffer) whatever
-// the chunk count, and the caller may recycle the frame as soon as it
-// returns.
+// DecodeData parses a KindData packet into a fresh DataPacket; see
+// DecodeDataInto.
 func DecodeData(data []byte) (*DataPacket, error) {
-	k, ring, rest, err := parseHeader(data)
-	if err != nil {
+	p := new(DataPacket)
+	if err := DecodeDataInto(p, data); err != nil {
 		return nil, err
 	}
+	return p, nil
+}
+
+// DecodeDataInto parses a KindData packet into p, which the caller
+// typically recycles: p's chunk slice is reused, and the only allocation
+// is the private copy of the chunk region that every chunk's Data slices
+// into, so the decoded packet never aliases data (the caller may recycle
+// the frame at once) and a packed packet costs one allocation whatever
+// its chunk count. On error p holds a partial decode and must not be
+// used.
+func DecodeDataInto(p *DataPacket, data []byte) error {
+	k, ring, rest, err := parseHeader(data)
+	if err != nil {
+		return err
+	}
 	if k != KindData {
-		return nil, fmt.Errorf("%w: kind %v, want data", ErrMalformed, k)
+		return fmt.Errorf("%w: kind %v, want data", ErrMalformed, k)
 	}
 	if len(rest) < 10 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	n := int(rest[9])
 	if n == 0 || n > MaxChunks {
-		return nil, fmt.Errorf("%w: %d chunks", ErrMalformed, n)
+		return fmt.Errorf("%w: %d chunks", ErrMalformed, n)
 	}
-	p := &DataPacket{
-		Ring:   ring,
-		Sender: proto.NodeID(binary.BigEndian.Uint32(rest)),
-		Seq:    binary.BigEndian.Uint32(rest[4:]),
-		Flags:  rest[8],
-		Chunks: make([]Chunk, 0, n),
+	p.Ring = ring
+	p.Sender = proto.NodeID(binary.BigEndian.Uint32(rest))
+	p.Seq = binary.BigEndian.Uint32(rest[4:])
+	p.Flags = rest[8]
+	if cap(p.Chunks) < n {
+		p.Chunks = make([]Chunk, 0, n)
 	}
+	p.Chunks = p.Chunks[:0]
 	rest = append([]byte(nil), rest[10:]...)
 	for i := 0; i < n; i++ {
 		if len(rest) < ChunkOverhead {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		flags := rest[0]
 		l := int(binary.BigEndian.Uint16(rest[1:]))
 		rest = rest[ChunkOverhead:]
 		if l > len(rest) {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		chunk := Chunk{Flags: flags}
 		if l > 0 {
@@ -329,9 +341,9 @@ func DecodeData(data []byte) (*DataPacket, error) {
 		rest = rest[l:]
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(rest))
+		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(rest))
 	}
-	return p, nil
+	return nil
 }
 
 // PeekDataSeq returns the ring and sequence number of an encoded data

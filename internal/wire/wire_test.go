@@ -474,8 +474,9 @@ func TestDecodeDataDoesNotAliasFrame(t *testing.T) {
 	}
 }
 
-// TestDecodeDataAllocs pins the one-copy decode: the packet, its chunk
-// slice and one payload buffer, whatever the chunk count.
+// TestDecodeDataAllocs pins the one-copy decode: at most the packet, its
+// chunk slice and one payload buffer, whatever the chunk count (the
+// packet stays on the stack when the caller does not keep it).
 func TestDecodeDataAllocs(t *testing.T) {
 	data, err := packedPacket(12, 100).Encode()
 	if err != nil {
@@ -486,8 +487,64 @@ func TestDecodeDataAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 3 {
-		t.Fatalf("DecodeData of a 12-chunk packet: %v allocs, want 3", allocs)
+	if allocs > 3 {
+		t.Fatalf("DecodeData of a 12-chunk packet: %v allocs, want at most 3", allocs)
+	}
+}
+
+// TestDecodeDataIntoAllocs pins the recycled-header decode the SRP
+// receive path uses: decoding into a packet whose chunk slice is large
+// enough allocates only the payload region.
+func TestDecodeDataIntoAllocs(t *testing.T) {
+	data, err := packedPacket(12, 100).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p DataPacket
+	if err := DecodeDataInto(&p, data); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := DecodeDataInto(&p, data); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("DecodeDataInto of a 12-chunk packet: %v allocs, want 1 (the payload region)", allocs)
+	}
+	if len(p.Chunks) != 12 || p.Seq != 42 || len(p.Chunks[11].Data) != 100 {
+		t.Fatalf("decoded %d chunks, seq %d", len(p.Chunks), p.Seq)
+	}
+}
+
+// TestDecodeDataIntoReusesHeader: a recycled header's previous contents
+// (more chunks, other fields) never leak into the next decode, and the
+// earlier decode's payloads keep their bytes.
+func TestDecodeDataIntoReusesHeader(t *testing.T) {
+	big, err := packedPacket(12, 100).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := &DataPacket{Ring: proto.RingID{Rep: 2, Epoch: 9}, Sender: 3, Seq: 7, Flags: FlagRetrans,
+		Chunks: []Chunk{{Flags: ChunkFirst, Data: []byte("tail")}}}
+	smallData, err := small.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p DataPacket
+	if err := DecodeDataInto(&p, big); err != nil {
+		t.Fatal(err)
+	}
+	kept := p.Chunks[3].Data
+	want := append([]byte(nil), kept...)
+	if err := DecodeDataInto(&p, smallData); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(&p, small) {
+		t.Fatalf("redecode = %+v, want %+v", p, *small)
+	}
+	if !bytes.Equal(kept, want) {
+		t.Fatal("a later decode into the same header overwrote an earlier payload")
 	}
 }
 
