@@ -1,6 +1,6 @@
 // Command totembench regenerates the paper's evaluation figures on the
-// discrete-event simulator, and measures and gates the live figures on
-// real clusters. See EXPERIMENTS.md for the mapping to the paper's figures.
+// discrete-event simulator. See EXPERIMENTS.md for the mapping to the
+// paper's figures; the live-cluster measurements are benchmark/'s.
 //
 // Usage:
 //
@@ -12,24 +12,14 @@
 //	totembench -figure all
 //	totembench -json            # hot-path allocation budget + wall-clock
 //	                            # figure data, written to BENCH_hotpath.json
-//	totembench -live all        # every live figure — wire (UDP drivers at
-//	                            # saturation), shards (1 ring vs 4), bulk
-//	                            # (probe p99 under a SendBulk stream), logd
-//	                            # (append latency, healthy and faulted) —
-//	                            # each measured, gated, and written to its
-//	                            # section of -out
-//	totembench -live bulk,logd -dur 3s
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"time"
 
 	"github.com/totem-rrp/totem/internal/bench"
 )
@@ -38,13 +28,11 @@ func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate: 6, 7, 8, 9, headline, sawtooth, ap, ablations, all")
 	csvDir := flag.String("csv", "", "also write the sweep data as CSV files into this directory")
 	jsonOut := flag.Bool("json", false, "run the hot-path benchmark suite and write it to -out (skips -figure)")
-	outPath := flag.String("out", "BENCH_hotpath.json", "report file for -json and -live; sections not measured are kept")
-	liveSel := flag.String("live", "", "live figures to measure and gate: wire, shards, bulk, logd, a comma list, or all (skips -figure)")
-	dur := flag.Duration("dur", 2*time.Second, "live: measured window per scenario")
+	outPath := flag.String("out", "BENCH_hotpath.json", "report file for -json")
 	flag.Parse()
 	var err error
-	if *jsonOut || *liveSel != "" {
-		err = runHotPath(*outPath, *jsonOut, *liveSel, *dur)
+	if *jsonOut {
+		err = writeHotPath(*outPath)
 	} else {
 		err = run(*figure, *csvDir)
 	}
@@ -54,48 +42,14 @@ func main() {
 	}
 }
 
-// runHotPath updates the report at path: with micro, the allocation budget
-// and the wall-clock Figure 6 points; for each live figure selected, its
-// section. Whatever it does not measure it keeps from the existing file.
-// Every gate of every figure measured is judged after the report is
-// written; any failure is the command's.
-func runHotPath(path string, micro bool, liveSel string, dur time.Duration) error {
-	var figures []bench.LiveFigure
-	for _, name := range strings.Split(liveSel, ",") {
-		found := name == ""
-		for _, f := range bench.LiveFigures {
-			if name == "all" || name == f.Name {
-				figures = append(figures, f)
-				found = true
-			}
-		}
-		if !found {
-			return fmt.Errorf("unknown live figure %q", name)
-		}
+// writeHotPath measures the allocation budget and the wall-clock Figure 6
+// points and writes the report to path.
+func writeHotPath(path string) error {
+	rep, err := bench.HotPath()
+	if err != nil {
+		return err
 	}
-
-	var rep bench.HotPathReport
-	if prev, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(prev, &rep); err != nil {
-			return fmt.Errorf("existing %s: %w", path, err)
-		}
-	}
-	if micro {
-		fresh, err := bench.HotPath()
-		if err != nil {
-			return err
-		}
-		rep.Micro, rep.Figure6 = fresh.Micro, fresh.Figure6
-		bench.PrintHotPath(os.Stdout, fresh)
-	}
-	for _, f := range figures {
-		points, err := bench.RunLive(f, dur)
-		if err != nil {
-			return err
-		}
-		*rep.Section(f.Key) = points
-		bench.PrintPoints(os.Stdout, f.Title, f.Columns, points)
-	}
+	bench.PrintHotPath(os.Stdout, rep)
 	out, err := os.Create(path)
 	if err != nil {
 		return err
@@ -104,20 +58,6 @@ func runHotPath(path string, micro bool, liveSel string, dur time.Duration) erro
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
-
-	failed := 0
-	for _, f := range figures {
-		for _, g := range f.Gates {
-			verdict, ok := g.Check(*rep.Section(f.Key))
-			fmt.Println(verdict)
-			if !ok {
-				failed++
-			}
-		}
-	}
-	if failed > 0 {
-		return fmt.Errorf("%d live gate(s) failed", failed)
-	}
 	return nil
 }
 

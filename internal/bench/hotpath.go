@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/totem-rrp/totem/internal/core"
-	"github.com/totem-rrp/totem/internal/live"
 	"github.com/totem-rrp/totem/internal/proto"
 	"github.com/totem-rrp/totem/internal/wire"
 )
@@ -41,33 +40,10 @@ type HotPathPoint struct {
 	WallMsgsPerSec    float64 `json:"wall_msgs_per_sec"`
 }
 
-// HotPathReport is the payload of BENCH_hotpath.json. The four live
-// sections are filled only by `totembench -live`, one per LiveFigure: the
-// simulated figures are cheap and deterministic, the live ones cost real
-// wall-clock seconds.
+// HotPathReport is the payload of BENCH_hotpath.json.
 type HotPathReport struct {
-	Micro      []HotPathMicro `json:"micro"`
-	Figure6    []HotPathPoint `json:"figure6_4nodes"`
-	LiveWire   []live.Point   `json:"figure6_live,omitempty"`
-	ShardScale []live.Point   `json:"figure6_shards,omitempty"`
-	Bulk       []live.Point   `json:"figure_bulk,omitempty"`
-	Logd       []live.Point   `json:"figure_logd,omitempty"`
-}
-
-// Section returns the report's slot for the live figure stored under key,
-// nil for an unknown key.
-func (r *HotPathReport) Section(key string) *[]live.Point {
-	switch key {
-	case "figure6_live":
-		return &r.LiveWire
-	case "figure6_shards":
-		return &r.ShardScale
-	case "figure_bulk":
-		return &r.Bulk
-	case "figure_logd":
-		return &r.Logd
-	}
-	return nil
+	Micro   []HotPathMicro `json:"micro"`
+	Figure6 []HotPathPoint `json:"figure6_4nodes"`
 }
 
 // HotPathMicros measures the allocation budget of the steady-state packet
@@ -207,28 +183,17 @@ func WriteHotPathJSON(w io.Writer, rep HotPathReport) error {
 	return enc.Encode(rep)
 }
 
-// PrintHotPath renders the report for the terminal; empty sections (a
-// -live-only run of a fresh file carries no micro or simulated points)
-// are skipped.
+// PrintHotPath renders the report for the terminal.
 func PrintHotPath(w io.Writer, rep HotPathReport) {
-	if len(rep.Micro) > 0 {
-		fmt.Fprintln(w, "hot path allocation budget (steady-state packet path)")
-		for _, m := range rep.Micro {
-			fmt.Fprintf(w, "  %-14s %10.1f ns/op %6d allocs/op %8d B/op\n",
-				m.Name, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
-		}
+	fmt.Fprintln(w, "hot path allocation budget (steady-state packet path)")
+	for _, m := range rep.Micro {
+		fmt.Fprintf(w, "  %-14s %10.1f ns/op %6d allocs/op %8d B/op\n",
+			m.Name, m.NsPerOp, m.AllocsPerOp, m.BytesPerOp)
 	}
-	if len(rep.Figure6) > 0 {
-		fmt.Fprintln(w, "figure 6 (4 nodes, no replication), wall clock")
-		fmt.Fprintf(w, "  %-8s %12s %14s %14s %12s\n", "len(B)", "wall ms", "vmsgs/s", "wall msgs/s", "allocs")
-		for _, p := range rep.Figure6 {
-			fmt.Fprintf(w, "  %-8d %12.1f %14.0f %14.0f %12d\n",
-				p.MsgLen, float64(p.WallNs)/1e6, p.VirtualMsgsPerSec, p.WallMsgsPerSec, p.Allocs)
-		}
-	}
-	for _, f := range LiveFigures {
-		if points := *rep.Section(f.Key); len(points) > 0 {
-			PrintPoints(w, f.Title, f.Columns, points)
-		}
+	fmt.Fprintln(w, "figure 6 (4 nodes, no replication), wall clock")
+	fmt.Fprintf(w, "  %-8s %12s %14s %14s %12s\n", "len(B)", "wall ms", "vmsgs/s", "wall msgs/s", "allocs")
+	for _, p := range rep.Figure6 {
+		fmt.Fprintf(w, "  %-8d %12.1f %14.0f %14.0f %12d\n",
+			p.MsgLen, float64(p.WallNs)/1e6, p.VirtualMsgsPerSec, p.WallMsgsPerSec, p.Allocs)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // fabric is the wire under one live cluster: the in-memory hub or one
 // loopback UDP socket per node per network, each node's end optionally
 // behind a shared netem. Every live cluster — torture harness, shard
-// torture, logd cluster, bench scenario — opens its sockets, wires its
+// torture, logd cluster, shard-scaling test — opens its sockets, wires its
 // peers and wraps its transports here and nowhere else.
 type fabric struct {
 	networks int

@@ -26,7 +26,6 @@ import (
 // epoch-carry restart.
 type LogdCluster struct {
 	opt     LogdClusterOptions
-	tune    func(*totem.Options)
 	nm      *Netem
 	fab     *fabric
 	members []*logdMember
@@ -73,12 +72,6 @@ type logdMember struct {
 // NewLogdCluster boots the cluster on the torture timers (liveTune); call
 // WaitLive before using it.
 func NewLogdCluster(opt LogdClusterOptions) (*LogdCluster, error) {
-	return newLogdCluster(opt, liveTune)
-}
-
-// newLogdCluster is NewLogdCluster with the ring's protocol timers chosen
-// by the caller.
-func newLogdCluster(opt LogdClusterOptions, tune func(*totem.Options)) (*LogdCluster, error) {
 	if opt.Nodes <= 0 {
 		opt.Nodes = 4
 	}
@@ -107,7 +100,7 @@ func newLogdCluster(opt LogdClusterOptions, tune func(*totem.Options)) (*LogdClu
 		opt.Logf = func(string, ...any) {}
 	}
 
-	c := &LogdCluster{opt: opt, tune: tune, nm: NewNetem(opt.Networks, opt.Netem)}
+	c := &LogdCluster{opt: opt, nm: NewNetem(opt.Networks, opt.Netem)}
 	fab, err := newFabric(opt.Transport, opt.Nodes, opt.Networks, "", c.nm)
 	if err != nil {
 		return nil, err
@@ -165,7 +158,7 @@ func (c *LogdCluster) startMember(m *logdMember) error {
 		Replication: proto.ReplicationPassive,
 		Delivery:    totem.Safe, // as cmd/totemlogd: acks survive the acking member's crash
 		Tune: func(o *totem.Options) {
-			c.tune(o)
+			liveTune(o)
 			if epoch > o.SRP.InitialEpoch {
 				o.SRP.InitialEpoch = epoch
 			}

@@ -613,7 +613,7 @@ func (t *Impaired) Flush() {
 
 // RegisterMetrics implements transport.MetricSource by forwarding, so a
 // live node's registry carries the inner transport's wire counters
-// (udp.netI.*) — the live Figure 6 bench reads its syscall counts there.
+// (udp.netI.*).
 func (t *Impaired) RegisterMetrics(reg *metrics.Registry) {
 	if ms, ok := t.inner.(transport.MetricSource); ok {
 		ms.RegisterMetrics(reg)

@@ -92,12 +92,18 @@ func (h *MemHub) BlockRecv(id proto.NodeID, i int, blocked bool) {
 }
 
 // send routes one packet under the hub's fault rules.
-func (h *MemHub) send(from proto.NodeID, network int, dest proto.NodeID, data []byte) error {
+func (h *MemHub) send(src *MemTransport, network int, dest proto.NodeID, data []byte) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	// closed is written under mu by Close, which can run concurrently
+	// with a send (a netem-delayed datagram firing during teardown).
+	if src.closed {
+		return ErrClosed
+	}
 	if network < 0 || network >= h.networks {
 		return ErrBadNetwork
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	from := src.id
 	if h.down[network] || h.blockSend[from][network] {
 		return nil // silently lost, like a dead NIC
 	}
@@ -155,10 +161,7 @@ func (t *MemTransport) Networks() int { return t.hub.networks }
 
 // Send implements Transport.
 func (t *MemTransport) Send(network int, dest proto.NodeID, data []byte) error {
-	if t.closed {
-		return ErrClosed
-	}
-	return t.hub.send(t.id, network, dest, data)
+	return t.hub.send(t, network, dest, data)
 }
 
 // Packets implements Transport.

@@ -286,8 +286,8 @@ func TestUDPBatchFlushReasons(t *testing.T) {
 
 // TestUDPBatchSyscallCoalescing pins the point of the batched driver: a
 // queue of datagrams flushed at once costs far fewer kernel visits than
-// datagrams sent. This is the unit-level Figure 6 proxy the live bench
-// gate scales up.
+// datagrams sent: at least a 2x syscall reduction, the property the live
+// Figure 6 analog measured (EXPERIMENTS.md).
 func TestUDPBatchSyscallCoalescing(t *testing.T) {
 	if !BatchSupported() {
 		t.Skip("batched wire path not supported on this platform")

@@ -15,11 +15,23 @@ const (
 	PackerLanes = 2
 )
 
-// laneQueue is one lane's send queue.
+// laneQueue is one lane's send queue. pending slides forward through its
+// backing array as messages are emitted; base is that array from its first
+// slot, so a drained lane restarts there instead of regrowing from nothing.
 type laneQueue struct {
 	pending    [][]byte
-	fragOffset int // bytes of pending[0] already emitted
+	base       [][]byte // len 0; pending's backing array
+	fragOffset int      // bytes of pending[0] already emitted
 	queuedByte int
+}
+
+func (q *laneQueue) push(msg []byte) {
+	grows := len(q.pending) == cap(q.pending)
+	q.pending = append(q.pending, msg)
+	if grows {
+		q.base = q.pending[:0]
+	}
+	q.queuedByte += len(msg)
 }
 
 // Packer implements the Totem message-packing algorithm (paper §8),
@@ -45,18 +57,12 @@ type Packer struct {
 
 // Enqueue appends an application message to the interactive send queue.
 // The caller must not reuse msg afterwards.
-func (p *Packer) Enqueue(msg []byte) {
-	p.lane[LaneInteractive].pending = append(p.lane[LaneInteractive].pending, msg)
-	p.lane[LaneInteractive].queuedByte += len(msg)
-}
+func (p *Packer) Enqueue(msg []byte) { p.lane[LaneInteractive].push(msg) }
 
 // EnqueueBulk appends a message to the bulk lane. The caller must not
 // reuse msg afterwards (with CollectFinished it gets the buffer back via
 // TakeFinishedBulk once the message has been fully emitted).
-func (p *Packer) EnqueueBulk(msg []byte) {
-	p.lane[LaneBulk].pending = append(p.lane[LaneBulk].pending, msg)
-	p.lane[LaneBulk].queuedByte += len(msg)
-}
+func (p *Packer) EnqueueBulk(msg []byte) { p.lane[LaneBulk].push(msg) }
 
 // Backlog returns the number of queued (possibly partially sent)
 // interactive messages. Bulk messages are counted by BulkBacklog: the two
@@ -195,11 +201,11 @@ func (p *Packer) popHead(lane int) {
 	if lane == LaneBulk && p.collectFinished {
 		p.finished = append(p.finished, head)
 	}
-	q.pending[0] = nil
+	q.pending[0] = nil // the queue keeps no emitted payload alive
 	q.pending = q.pending[1:]
 	q.fragOffset = 0
 	if len(q.pending) == 0 {
-		q.pending = nil
+		q.pending = q.base
 	}
 }
 

@@ -423,3 +423,33 @@ func TestAppendChunksRecycledAllocs(t *testing.T) {
 		t.Fatalf("AppendChunks on an empty packer = %v, want an empty slice", got)
 	}
 }
+
+// TestPackerDrainRefillAllocs pins the send queues across drains: once a
+// lane has held a burst, draining it and queueing the next burst reuses the
+// lane's backing array, and the drained slots hold no payload.
+func TestPackerDrainRefillAllocs(t *testing.T) {
+	var p Packer
+	msg := fill(100, 1)
+	chunks := make([]Chunk, 0, MaxChunks)
+	cycle := func() {
+		for i := 0; i < 40; i++ {
+			p.Enqueue(msg)
+			p.EnqueueBulk(msg)
+		}
+		for !p.Empty() {
+			chunks = p.AppendChunks(chunks, true)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("enqueue → drain → enqueue: %v allocs, want 0", allocs)
+	}
+	for lane := range p.lane {
+		base := p.lane[lane].base
+		for i, m := range base[:cap(base)] {
+			if m != nil {
+				t.Fatalf("lane %d slot %d still holds a %d B payload after the drain", lane, i, len(m))
+			}
+		}
+	}
+}
