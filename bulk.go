@@ -169,7 +169,7 @@ func (n *Node) SendBulk(payload []byte) (*BulkTransfer, error) {
 // everyone. It runs for the node's lifetime and, when the stream closes
 // (node Close), fails whatever transfers remain.
 func (n *Node) bulkDispatch() {
-	for ev := range n.rts[0].BulkEvents() {
+	for ev := range n.out.Bulk.Out() {
 		switch ev.Kind {
 		case proto.BulkAcked:
 			n.bulkMu.Lock()

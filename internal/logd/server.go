@@ -246,8 +246,8 @@ func (s *Server) Store() *Store { return s.store }
 
 func (s *Server) logf(format string, args ...any) { s.opt.Logf(format, args...) }
 
-// houseLoop drains the node's side channels (so their fan-in never backs
-// up against an absent consumer) and persists the ring epoch on every
+// houseLoop drains the node's side channels (so their queues never grow
+// without a consumer) and persists the ring epoch on every
 // membership change — the stable-storage half of the epoch-carry restart.
 func (s *Server) houseLoop() {
 	defer s.wg.Done()

@@ -107,8 +107,8 @@ type Delivery struct {
 	// and Seq is the sequence number of the packet that completed it.
 	Bulk bool
 	// Shard is the ring shard the message was ordered on. The protocol
-	// machines never set it: a multi-ring node tags it at the delivery
-	// fan-in, so it is always 0 on a single-ring node.
+	// machines never set it: the shard's runtime tags it before queueing
+	// the delivery, so it is always 0 on a single-ring node.
 	Shard int
 }
 
@@ -148,8 +148,8 @@ type FaultReport struct {
 	Reason string
 	// Time is the (virtual or real) time of detection.
 	Time Time
-	// Shard is the ring shard whose monitors raised the report (tagged at
-	// the multi-ring fan-in; 0 on a single-ring node).
+	// Shard is the ring shard whose monitors raised the report (tagged by
+	// the shard's runtime; 0 on a single-ring node).
 	Shard int
 }
 
@@ -170,8 +170,8 @@ type ClearReport struct {
 	Probation int
 	// Time is the (virtual or real) time of readmission.
 	Time Time
-	// Shard is the ring shard that readmitted the network (tagged at the
-	// multi-ring fan-in; 0 on a single-ring node).
+	// Shard is the ring shard that readmitted the network (tagged by the
+	// shard's runtime; 0 on a single-ring node).
 	Shard int
 }
 
@@ -187,8 +187,8 @@ type ConfigChange struct {
 	Ring         RingID
 	Members      []NodeID
 	Transitional bool
-	// Shard is the ring shard whose membership changed (tagged at the
-	// multi-ring fan-in; 0 on a single-ring node).
+	// Shard is the ring shard whose membership changed (tagged by the
+	// shard's runtime; 0 on a single-ring node).
 	Shard int
 }
 

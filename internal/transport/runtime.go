@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/totem-rrp/totem/internal/metrics"
 	"github.com/totem-rrp/totem/internal/proto"
 	"github.com/totem-rrp/totem/internal/stack"
 	"github.com/totem-rrp/totem/internal/trace"
@@ -14,8 +15,9 @@ import (
 // Runtime drives one stack.Node in real time: a single goroutine
 // serialises packets, timer expirations and submissions into the pure
 // state machine and executes the resulting actions against the transport
-// and wall-clock timers. Application-facing events are forwarded on
-// unbounded queues so a slow consumer can never stall the token ring.
+// and wall-clock timers. Application-facing events are pushed onto the
+// caller's Outputs, whose unbounded queues mean a slow consumer can never
+// stall the token ring.
 type Runtime struct {
 	stack *stack.Node
 	tr    Transport
@@ -37,8 +39,12 @@ type Runtime struct {
 	// before Start; it must not block.
 	deliveryTap func(proto.Delivery)
 	id          proto.NodeID
+	// shard tags every event this runtime pushes (0 on a single ring).
+	shard int
+	out   Outputs
 
-	events chan runtimeEvent
+	// events carries timer firings and calls into the loop goroutine.
+	events chan func()
 	// submitRejected counts Submit calls refused by SRP backpressure.
 	submitRejected atomic.Uint64
 
@@ -47,66 +53,71 @@ type Runtime struct {
 	nextGen  uint64
 	timers   map[proto.TimerID]*time.Timer
 
-	deliveries *queue[proto.Delivery]
-	faults     *queue[proto.FaultReport]
-	cleared    *queue[proto.ClearReport]
-	configs    *queue[proto.ConfigChange]
-	bulkEvs    *queue[proto.BulkEvent]
-
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
 }
 
-type runtimeEvent struct {
-	pkt    *Packet
-	timer  *timerFire
-	submit *submitReq
-	query  func()
+// Outputs are the application-facing event queues one or more runtimes
+// push onto. A multi-ring node shares one set among all its runtimes, so
+// its streams are the same queues whatever the shard count.
+type Outputs struct {
+	Deliveries *Queue[proto.Delivery]
+	Faults     *Queue[proto.FaultReport]
+	Cleared    *Queue[proto.ClearReport]
+	Configs    *Queue[proto.ConfigChange]
+	// Bulk may be nil: the runtime then drops bulk-lane signals.
+	Bulk *Queue[proto.BulkEvent]
 }
 
-type timerFire struct {
-	id  proto.TimerID
-	gen uint64
+// NewOutputs makes one set of empty queues.
+func NewOutputs() Outputs {
+	return Outputs{
+		Deliveries: NewQueue[proto.Delivery](),
+		Faults:     NewQueue[proto.FaultReport](),
+		Cleared:    NewQueue[proto.ClearReport](),
+		Configs:    NewQueue[proto.ConfigChange](),
+		Bulk:       NewQueue[proto.BulkEvent](),
+	}
 }
 
-type submitReq struct {
-	payload []byte
-	bulk    *bulkChunk
-	reply   chan bool
+// RegisterMetrics registers the queues' depth gauges
+// ("runtime.deliveries_depth", ...) into reg.
+func (o Outputs) RegisterMetrics(reg *metrics.Registry) {
+	reg.RegisterFunc("runtime.deliveries_depth", o.Deliveries.Depth)
+	reg.RegisterFunc("runtime.faults_depth", o.Faults.Depth)
+	reg.RegisterFunc("runtime.cleared_depth", o.Cleared.Depth)
+	reg.RegisterFunc("runtime.configs_depth", o.Configs.Depth)
+	reg.RegisterFunc("runtime.bulk_depth", o.Bulk.Depth)
 }
 
-// bulkChunk is one windowed piece of a bulk transfer bound for the
-// rate-limited lane.
-type bulkChunk struct {
-	id, off, total uint64
-	data           []byte
+// Close closes every queue: their channels close and unconsumed entries
+// are dropped.
+func (o Outputs) Close() {
+	o.Deliveries.Close()
+	o.Faults.Close()
+	o.Cleared.Close()
+	o.Configs.Close()
+	o.Bulk.Close()
 }
 
-// NewRuntime wires a stack to a transport. Call Start to begin.
-func NewRuntime(st *stack.Node, tr Transport) *Runtime {
+// NewRuntime wires a stack to a transport; its events go to out, tagged
+// with shard. Call Start to begin.
+func NewRuntime(st *stack.Node, tr Transport, shard int, out Outputs) *Runtime {
 	r := &Runtime{
-		stack:      st,
-		tr:         tr,
-		id:         st.ID(),
-		events:     make(chan runtimeEvent, 256),
-		timerGen:   make(map[proto.TimerID]uint64),
-		timers:     make(map[proto.TimerID]*time.Timer),
-		deliveries: newQueue[proto.Delivery](),
-		faults:     newQueue[proto.FaultReport](),
-		cleared:    newQueue[proto.ClearReport](),
-		configs:    newQueue[proto.ConfigChange](),
-		bulkEvs:    newQueue[proto.BulkEvent](),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
+		stack:    st,
+		tr:       tr,
+		id:       st.ID(),
+		shard:    shard,
+		out:      out,
+		events:   make(chan func(), 256),
+		timerGen: make(map[proto.TimerID]uint64),
+		timers:   make(map[proto.TimerID]*time.Timer),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	reg := st.Metrics()
 	reg.RegisterFunc("runtime.events_depth", func() int64 { return int64(len(r.events)) })
-	reg.RegisterFunc("runtime.deliveries_depth", r.deliveries.depth)
-	reg.RegisterFunc("runtime.faults_depth", r.faults.depth)
-	reg.RegisterFunc("runtime.cleared_depth", r.cleared.depth)
-	reg.RegisterFunc("runtime.configs_depth", r.configs.depth)
-	reg.RegisterFunc("runtime.bulk_depth", r.bulkEvs.depth)
 	reg.RegisterFunc("runtime.submit_rejected", func() int64 { return int64(r.submitRejected.Load()) })
 	if ms, ok := tr.(MetricSource); ok {
 		ms.RegisterMetrics(reg)
@@ -179,49 +190,36 @@ func (r *Runtime) loop() {
 			// the pool. Token frames may be retained by the replicator
 			// and are skipped by the kind check.
 			wire.ReleaseFrame(pkt.Data)
-		case ev := <-r.events:
-			switch {
-			case ev.timer != nil:
-				if r.takeTimer(ev.timer) {
-					if r.tracer != nil {
-						r.tracer.Record(trace.Event{
-							At: r.now(), Node: r.id, Kind: trace.TimerFired, Network: -1,
-							A: int64(ev.timer.id.Class), B: int64(ev.timer.id.Arg),
-						})
-					}
-					r.execute(r.stack.OnTimer(r.now(), ev.timer.id))
-				}
-			case ev.submit != nil:
-				var (
-					ok   bool
-					acts []proto.Action
-				)
-				if b := ev.submit.bulk; b != nil {
-					ok, acts = r.stack.SubmitBulk(r.now(), b.id, b.off, b.total, b.data)
-				} else {
-					ok, acts = r.stack.Submit(r.now(), ev.submit.payload)
-					if !ok {
-						r.submitRejected.Add(1)
-					}
-				}
-				r.execute(acts)
-				ev.submit.reply <- ok
-			case ev.query != nil:
-				ev.query()
-			}
+		case fn := <-r.events:
+			fn()
 		}
 	}
 }
 
+// fireTimer runs an expired timer unless it was cancelled or re-armed
+// since it was set.
+func (r *Runtime) fireTimer(id proto.TimerID, gen uint64) {
+	if !r.takeTimer(id, gen) {
+		return
+	}
+	if r.tracer != nil {
+		r.tracer.Record(trace.Event{
+			At: r.now(), Node: r.id, Kind: trace.TimerFired, Network: -1,
+			A: int64(id.Class), B: int64(id.Arg),
+		})
+	}
+	r.execute(r.stack.OnTimer(r.now(), id))
+}
+
 // takeTimer validates a timer firing against cancellation/re-arming.
-func (r *Runtime) takeTimer(tf *timerFire) bool {
+func (r *Runtime) takeTimer(id proto.TimerID, gen uint64) bool {
 	r.timerMu.Lock()
 	defer r.timerMu.Unlock()
-	if r.timerGen[tf.id] != tf.gen {
+	if r.timerGen[id] != gen {
 		return false
 	}
-	delete(r.timerGen, tf.id)
-	delete(r.timers, tf.id)
+	delete(r.timerGen, id)
+	delete(r.timers, id)
 	return true
 }
 
@@ -247,6 +245,7 @@ func (r *Runtime) execute(actions []proto.Action) {
 		case *proto.CancelTimer:
 			r.cancelTimer(act.ID)
 		case *proto.Deliver:
+			act.Msg.Shard = r.shard
 			if r.deliveryTap != nil {
 				r.deliveryTap(act.Msg)
 			}
@@ -256,24 +255,27 @@ func (r *Runtime) execute(actions []proto.Action) {
 					A: int64(act.Msg.Seq), B: int64(act.Msg.Sender), C: int64(len(act.Msg.Payload)),
 				})
 			}
-			r.deliveries.push(act.Msg)
+			r.out.Deliveries.Push(act.Msg)
 		case proto.Fault:
+			act.Report.Shard = r.shard
 			if r.tracer != nil {
 				r.tracer.Record(trace.Event{
 					At: r.now(), Node: r.id, Kind: trace.FaultRaised,
 					Network: act.Report.Network, Detail: act.Report.Reason,
 				})
 			}
-			r.faults.push(act.Report)
+			r.out.Faults.Push(act.Report)
 		case proto.FaultCleared:
+			act.Report.Shard = r.shard
 			if r.tracer != nil {
 				r.tracer.Record(trace.Event{
 					At: r.now(), Node: r.id, Kind: trace.FaultCleared,
 					Network: act.Report.Network, A: int64(act.Report.Probation),
 				})
 			}
-			r.cleared.push(act.Report)
+			r.out.Cleared.Push(act.Report)
 		case proto.Config:
+			act.Change.Shard = r.shard
 			if r.tracer != nil {
 				detail := ""
 				if act.Change.Transitional {
@@ -285,9 +287,11 @@ func (r *Runtime) execute(actions []proto.Action) {
 					C: int64(len(act.Change.Members)), Detail: detail,
 				})
 			}
-			r.configs.push(act.Change)
+			r.out.Configs.Push(act.Change)
 		case proto.BulkSignal:
-			r.bulkEvs.push(act.Ev)
+			if r.out.Bulk != nil {
+				r.out.Bulk.Push(act.Ev)
+			}
 		}
 	}
 	// One kernel visit per action batch: everything this batch queued on a
@@ -332,7 +336,7 @@ func (r *Runtime) setTimer(id proto.TimerID, after time.Duration) {
 	r.timerGen[id] = gen
 	r.timers[id] = time.AfterFunc(after, func() {
 		select {
-		case r.events <- runtimeEvent{timer: &timerFire{id: id, gen: gen}}:
+		case r.events <- func() { r.fireTimer(id, gen) }:
 		case <-r.stop:
 		}
 	})
@@ -348,21 +352,35 @@ func (r *Runtime) cancelTimer(id proto.TimerID) {
 	delete(r.timerGen, id)
 }
 
+// call runs fn on the loop goroutine and waits for it to return,
+// reporting false if the runtime stopped first.
+func (r *Runtime) call(fn func()) bool {
+	done := make(chan struct{})
+	select {
+	case r.events <- func() { fn(); close(done) }:
+	case <-r.stop:
+		return false
+	}
+	select {
+	case <-done:
+		return true
+	case <-r.stop:
+		return false
+	}
+}
+
 // Submit queues an application message, returning false under
 // backpressure or after Close.
 func (r *Runtime) Submit(payload []byte) bool {
-	req := &submitReq{payload: payload, reply: make(chan bool, 1)}
-	select {
-	case r.events <- runtimeEvent{submit: req}:
-	case <-r.stop:
-		return false
-	}
-	select {
-	case ok := <-req.reply:
-		return ok
-	case <-r.stop:
-		return false
-	}
+	ok := false
+	return r.call(func() {
+		var acts []proto.Action
+		ok, acts = r.stack.Submit(r.now(), payload)
+		if !ok {
+			r.submitRejected.Add(1)
+		}
+		r.execute(acts)
+	}) && ok
 }
 
 // SubmitBulk queues one chunk of a bulk transfer on the rate-limited bulk
@@ -370,84 +388,32 @@ func (r *Runtime) Submit(payload []byte) bool {
 // copied into the lane's recycled envelope buffers before this returns, so
 // the caller may reuse data immediately.
 func (r *Runtime) SubmitBulk(id, off, total uint64, data []byte) bool {
-	req := &submitReq{bulk: &bulkChunk{id: id, off: off, total: total, data: data}, reply: make(chan bool, 1)}
-	select {
-	case r.events <- runtimeEvent{submit: req}:
-	case <-r.stop:
-		return false
-	}
-	select {
-	case ok := <-req.reply:
-		return ok
-	case <-r.stop:
-		return false
-	}
+	ok := false
+	return r.call(func() {
+		var acts []proto.Action
+		ok, acts = r.stack.SubmitBulk(r.now(), id, off, total, data)
+		r.execute(acts)
+	}) && ok
 }
 
 // Inspect runs fn inside the event loop, giving it exclusive, race-free
 // access to the stack (for state snapshots).
 func (r *Runtime) Inspect(fn func(*stack.Node)) bool {
-	done := make(chan struct{})
-	q := func() {
-		fn(r.stack)
-		close(done)
-	}
-	select {
-	case r.events <- runtimeEvent{query: q}:
-	case <-r.stop:
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	case <-r.stop:
-		return false
-	}
+	return r.Mutate(func(_ proto.Time, st *stack.Node) []proto.Action {
+		fn(st)
+		return nil
+	})
 }
 
-// Mutate runs fn inside the event loop like Inspect, then executes the
-// actions it returns — for hooks that change stack state and emit timers
-// or probes (the torture harness's state-corruption injector). Inspect is
-// NOT a substitute: it discards actions, so a mutation that arms a timer
-// would silently lose it.
+// Mutate runs fn inside the event loop, then executes the actions it
+// returns — for hooks that change stack state and emit timers or probes
+// (the torture harness's state-corruption injector).
 func (r *Runtime) Mutate(fn func(proto.Time, *stack.Node) []proto.Action) bool {
-	done := make(chan struct{})
-	q := func() {
-		r.execute(fn(r.now(), r.stack))
-		close(done)
-	}
-	select {
-	case r.events <- runtimeEvent{query: q}:
-	case <-r.stop:
-		return false
-	}
-	select {
-	case <-done:
-		return true
-	case <-r.stop:
-		return false
-	}
+	return r.call(func() { r.execute(fn(r.now(), r.stack)) })
 }
 
-// Deliveries returns the totally-ordered message stream.
-func (r *Runtime) Deliveries() <-chan proto.Delivery { return r.deliveries.out }
-
-// Faults returns the network fault-report stream.
-func (r *Runtime) Faults() <-chan proto.FaultReport { return r.faults.out }
-
-// Cleared returns the stream of automatic readmission reports.
-func (r *Runtime) Cleared() <-chan proto.ClearReport { return r.cleared.out }
-
-// Configs returns the membership configuration-change stream.
-func (r *Runtime) Configs() <-chan proto.ConfigChange { return r.configs.out }
-
-// BulkEvents returns the bulk-lane signal stream: per-chunk ring-wide
-// acknowledgements and configuration-change rewind notices, in protocol
-// order.
-func (r *Runtime) BulkEvents() <-chan proto.BulkEvent { return r.bulkEvs.out }
-
-// Close stops the loop, all timers and the event queues. It does not
-// close the transport (the caller owns it).
+// Close stops the loop and all timers. It closes neither the transport
+// nor the Outputs (the caller owns both).
 func (r *Runtime) Close() {
 	r.stopOnce.Do(func() {
 		close(r.stop)
@@ -457,27 +423,27 @@ func (r *Runtime) Close() {
 			t.Stop()
 		}
 		r.timerMu.Unlock()
-		r.deliveries.close()
-		r.faults.close()
-		r.cleared.close()
-		r.configs.close()
-		r.bulkEvs.close()
 	})
 }
 
-// queue is an unbounded FIFO bridging the protocol loop to a consumer
+// Queue is an unbounded FIFO bridging protocol loops to a consumer
 // channel: pushes never block, so a slow application cannot stall the
-// ring.
-type queue[T any] struct {
+// ring, and nothing pushed is shed — a consumer that stops reading
+// buffers entries in memory and receives every one, in push order, once
+// it resumes. Push is safe from any number of goroutines.
+type Queue[T any] struct {
 	mu   sync.Mutex
 	buf  []T
 	wake chan struct{}
 	quit chan struct{}
+	once sync.Once
 	out  chan T
 }
 
-func newQueue[T any]() *queue[T] {
-	q := &queue[T]{
+// NewQueue makes an empty queue and starts its pump goroutine, which
+// runs until Close.
+func NewQueue[T any]() *Queue[T] {
+	q := &Queue[T]{
 		wake: make(chan struct{}, 1),
 		quit: make(chan struct{}),
 		out:  make(chan T),
@@ -486,15 +452,19 @@ func newQueue[T any]() *queue[T] {
 	return q
 }
 
-// depth reports the number of buffered, unconsumed entries (a gauge for
+// Out returns the consumer channel; it closes after Close.
+func (q *Queue[T]) Out() <-chan T { return q.out }
+
+// Depth reports the number of buffered, unconsumed entries (a gauge for
 // backpressure monitoring).
-func (q *queue[T]) depth() int64 {
+func (q *Queue[T]) Depth() int64 {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return int64(len(q.buf))
 }
 
-func (q *queue[T]) push(v T) {
+// Push appends v without blocking.
+func (q *Queue[T]) Push(v T) {
 	q.mu.Lock()
 	q.buf = append(q.buf, v)
 	q.mu.Unlock()
@@ -504,7 +474,7 @@ func (q *queue[T]) push(v T) {
 	}
 }
 
-func (q *queue[T]) pump() {
+func (q *Queue[T]) pump() {
 	defer close(q.out)
 	for {
 		q.mu.Lock()
@@ -533,4 +503,7 @@ func (q *queue[T]) pump() {
 	}
 }
 
-func (q *queue[T]) close() { close(q.quit) }
+// Close stops the pump and closes Out, dropping the entries still
+// buffered (a receiver may still get the one entry the pump holds).
+// Idempotent.
+func (q *Queue[T]) Close() { q.once.Do(func() { close(q.quit) }) }

@@ -34,7 +34,7 @@ func TestRuntimeFlushesBatchingTransport(t *testing.T) {
 		t.Fatal(err)
 	}
 	fake := &flushRecorder{rx: make(chan Packet)}
-	r := NewRuntime(st, fake)
+	r := NewRuntime(st, fake, 0, Outputs{})
 	if r.flush == nil {
 		t.Fatal("runtime did not detect the BatchSender transport")
 	}
@@ -76,7 +76,7 @@ func TestRuntimeNonBatchingTransportNoHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tr.Close()
-	if r := NewRuntime(st, tr); r.flush != nil {
+	if r := NewRuntime(st, tr, 0, Outputs{}); r.flush != nil {
 		t.Fatal("mem transport unexpectedly detected as BatchSender")
 	}
 }

@@ -26,10 +26,11 @@ func newRuntimeRing(t *testing.T, n int, style proto.ReplicationStyle, networks 
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := NewRuntime(st, tr)
+		rt := NewRuntime(st, tr, 0, NewOutputs())
 		rt.Start()
 		t.Cleanup(func() {
 			rt.Close()
+			rt.out.Close()
 			tr.Close()
 		})
 		rts = append(rts, rt)
@@ -68,7 +69,7 @@ func TestRuntimeRingDelivers(t *testing.T) {
 	}
 	for i, rt := range rts {
 		select {
-		case d := <-rt.Deliveries():
+		case d := <-rt.out.Deliveries.Out():
 			if string(d.Payload) != "ping" {
 				t.Fatalf("node %d got %q", i+1, d.Payload)
 			}
@@ -98,7 +99,7 @@ func TestRuntimeSlowConsumerDoesNotStallRing(t *testing.T) {
 	deadline := time.After(20 * time.Second)
 	for got < n {
 		select {
-		case <-rts[1].Deliveries():
+		case <-rts[1].out.Deliveries.Out():
 			got++
 		case <-deadline:
 			t.Fatalf("drained only %d/%d after the fact", got, n)
@@ -127,12 +128,37 @@ func TestRuntimeCloseIsIdempotentAndClosesStreams(t *testing.T) {
 	_, rts := newRuntimeRing(t, 1, proto.ReplicationNone, 1)
 	rts[0].Close()
 	rts[0].Close()
+	// The runtime leaves the streams to their owner; closing the Outputs
+	// (twice, like the runtime) closes every channel.
+	out := rts[0].out
+	out.Close()
+	out.Close()
 	for name, ch := range map[string]func() bool{
-		"deliveries": func() bool { _, ok := <-rts[0].Deliveries(); return ok },
-		"faults":     func() bool { _, ok := <-rts[0].Faults(); return ok },
+		"deliveries": func() bool { return closes(out.Deliveries.Out()) },
+		"faults":     func() bool { return closes(out.Faults.Out()) },
+		"cleared":    func() bool { return closes(out.Cleared.Out()) },
+		"configs":    func() bool { return closes(out.Configs.Out()) },
+		"bulk":       func() bool { return closes(out.Bulk.Out()) },
 	} {
-		if ch() {
+		if !ch() {
 			t.Fatalf("%s channel still open after close", name)
+		}
+	}
+}
+
+// closes reports whether ch closes within a second. The singleton ring
+// has queued a configuration change and a bulk notice, and the pump may
+// still hand over the one entry it holds.
+func closes[T any](ch <-chan T) bool {
+	timeout := time.After(time.Second)
+	for {
+		select {
+		case _, ok := <-ch:
+			if !ok {
+				return true
+			}
+		case <-timeout:
+			return false
 		}
 	}
 }
@@ -159,11 +185,11 @@ func TestRuntimeInspectIsSerialisedWithEvents(t *testing.T) {
 }
 
 func TestQueueUnboundedFIFO(t *testing.T) {
-	q := newQueue[int]()
-	defer q.close()
+	q := NewQueue[int]()
+	defer q.Close()
 	const n = 10000
 	for i := 0; i < n; i++ {
-		q.push(i)
+		q.Push(i)
 	}
 	for i := 0; i < n; i++ {
 		select {
@@ -178,16 +204,16 @@ func TestQueueUnboundedFIFO(t *testing.T) {
 }
 
 func TestQueueCloseUnblocksConsumer(t *testing.T) {
-	q := newQueue[int]()
+	q := NewQueue[int]()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for range q.out {
 		}
 	}()
-	q.push(1)
+	q.Push(1)
 	time.Sleep(10 * time.Millisecond)
-	q.close()
+	q.Close()
 	select {
 	case <-done:
 	case <-time.After(time.Second):

@@ -29,13 +29,14 @@ func newTracedRing(t *testing.T, n, networks int, tracers []trace.Tracer) []*Run
 		if err != nil {
 			t.Fatal(err)
 		}
-		rt := NewRuntime(st, tr)
+		rt := NewRuntime(st, tr, 0, NewOutputs())
 		if tracers[i-1] != nil {
 			rt.SetTracer(tracers[i-1])
 		}
 		rt.Start()
 		t.Cleanup(func() {
 			rt.Close()
+			rt.out.Close()
 			tr.Close()
 		})
 		rts = append(rts, rt)
@@ -83,7 +84,7 @@ func TestRuntimeTraceConcurrentDump(t *testing.T) {
 	deadline := time.After(10 * time.Second)
 	for delivered := 0; delivered < 1; {
 		select {
-		case <-rts[0].Deliveries():
+		case <-rts[0].out.Deliveries.Out():
 			delivered++
 		case <-deadline:
 			t.Fatal("no delivery while tracing")
@@ -125,7 +126,7 @@ func TestRuntimeNoTracerNoEvents(t *testing.T) {
 	// deliver, but the sender's own delivery can trail the receiver's.
 	for _, rt := range rts {
 		select {
-		case <-rt.Deliveries():
+		case <-rt.out.Deliveries.Out():
 		case <-time.After(10 * time.Second):
 			t.Fatal("no delivery")
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,13 @@ import (
 // membership.
 func startShardedRing(t *testing.T, n, networks, shards int, crossOrder bool) []*totem.Node {
 	t.Helper()
-	hub := totem.NewMemHub(networks)
+	return startShardedRingOn(t, totem.NewMemHub(networks), n, shards, crossOrder, nil)
+}
+
+// startShardedRingOn is startShardedRing on the caller's hub; tune, when
+// non-nil, further adjusts every node's options.
+func startShardedRingOn(t *testing.T, hub *totem.MemHub, n, shards int, crossOrder bool, tune func(*totem.Options)) []*totem.Node {
+	t.Helper()
 	nodes := make([]*totem.Node, 0, n)
 	for i := 1; i <= n; i++ {
 		tr, err := hub.Join(totem.NodeID(i))
@@ -27,12 +34,14 @@ func startShardedRing(t *testing.T, n, networks, shards int, crossOrder bool) []
 		}
 		node, err := totem.NewNode(totem.Config{
 			ID:          totem.NodeID(i),
-			Networks:    networks,
 			Replication: totem.Passive,
 			Shards:      shards,
 			CrossOrder:  crossOrder,
 			Tune: func(o *totem.Options) {
 				o.MarkerInterval = 5 * time.Millisecond
+				if tune != nil {
+					tune(o)
+				}
 			},
 		}, tr)
 		if err != nil {
@@ -399,8 +408,8 @@ func TestCloseWithBlockedDeliveriesReader(t *testing.T) {
 }
 
 // TestCloseWithInFlightDeliveries: closing while messages are still being
-// ordered and fanned in must not deadlock or panic, and the merged
-// channels must still close.
+// ordered and queued must not deadlock or panic, and the node's channels
+// must still close.
 func TestCloseWithInFlightDeliveries(t *testing.T) {
 	nodes := startShardedRing(t, 2, 2, 3, false)
 	for i := 0; i < 50; i++ {
@@ -430,16 +439,15 @@ func TestCloseWithInFlightDeliveries(t *testing.T) {
 	}
 }
 
-// TestBlockedDeliveriesReaderShedsNothing pins the fan-in backpressure
-// contract documented on fanIn: a consumer that stops draining
-// Deliveries blocks the forwarders — nothing is shed and nothing is
-// reordered, while the ring itself keeps turning behind the runtimes'
-// unbounded queues. We push far more messages than every channel buffer
-// on the path holds while one node's reader is parked, then resume it
-// and require every message exactly once, in the same per-shard order a
-// never-blocked node saw.
+// TestBlockedDeliveriesReaderShedsNothing pins the backpressure contract
+// documented on transport.Queue: a consumer that stops draining
+// Deliveries leaves the node's delivery queue buffering — nothing is shed
+// and nothing is reordered, while every shard's ring keeps turning. We
+// push thousands of messages while one node's reader is parked, then
+// resume it and require every message exactly once, in the same
+// per-shard order a never-blocked node saw.
 func TestBlockedDeliveriesReaderShedsNothing(t *testing.T) {
-	const total = 3000 // > mergedDepth + per-shard buffers combined
+	const total = 3000
 	nodes := startShardedRing(t, 2, 2, 2, false)
 	sender, blocked := nodes[0], nodes[1]
 
@@ -458,9 +466,9 @@ func TestBlockedDeliveriesReaderShedsNothing(t *testing.T) {
 		refCh <- ref
 	}()
 
-	// The blocked node's reader does not run yet: its fan-in forwarders
-	// must park on the merged channel without shedding. Send everything
-	// while it is parked.
+	// The blocked node's reader does not run yet: its deliveries must
+	// wait in the queue without shedding. Send everything while it is
+	// parked.
 	for i := 0; i < total; i++ {
 		key := []byte(fmt.Sprintf("key-%d", i%17))
 		for {
@@ -506,5 +514,162 @@ func TestBlockedDeliveriesReaderShedsNothing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ref, got) {
 		t.Fatal("resumed reader saw a different per-shard sequence than the never-blocked node")
+	}
+}
+
+// TestCloseLeavesNoGoroutines: Close on a node whose streams nobody reads
+// stops every goroutine the node started, however many deliveries are
+// still queued, at every shard count and with the CrossOrder merge.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		shards     int
+		crossOrder bool
+	}{
+		{"shards=1", 1, false},
+		{"shards=2", 2, false},
+		{"shards=2/cross-order", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			hub := totem.NewMemHub(1)
+			tr, err := hub.Join(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := totem.NewNode(totem.Config{ID: 1, Shards: tc.shards, CrossOrder: tc.crossOrder}, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const total = 3000
+			for i := 0; i < total; i++ {
+				key := []byte(fmt.Sprintf("key-%d", i))
+				for {
+					err := n.SendKeyed(key, []byte("undrained"))
+					if err == nil {
+						break
+					}
+					if !errors.Is(err, totem.ErrBackpressure) {
+						t.Fatalf("send %d: %v", i, err)
+					}
+					time.Sleep(time.Millisecond)
+				}
+			}
+			// Wait until every message is delivered into the unread
+			// stream, so Close meets a full backlog.
+			deadline := time.Now().Add(20 * time.Second)
+			for delivered(n) < total {
+				if time.Now().After(deadline) {
+					t.Fatalf("only %d/%d delivered", delivered(n), total)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+			n.Close()
+			tr.Close()
+			deadline = time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before the node", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// delivered sums the messages node n's rings have delivered.
+func delivered(n *totem.Node) int64 {
+	var sum int64
+	for s := 0; s < n.Shards(); s++ {
+		v, _ := n.MetricsOf(s).Get("srp.msgs_delivered")
+		sum += v
+	}
+	return sum
+}
+
+// TestEveryStreamCarriesItsShard: configuration changes, fault reports
+// and readmissions name the shard whose ring raised them. A physical
+// network fault surfaces once per shard, since each shard's monitors
+// watch the network on their own.
+func TestEveryStreamCarriesItsShard(t *testing.T) {
+	const shards = 3
+	hub := totem.NewMemHub(2)
+	nodes := startShardedRingOn(t, hub, 2, shards, false, func(o *totem.Options) {
+		o.RRP.DecayInterval = 100 * time.Millisecond
+		o.RRP.ProbationWindows = 2
+	})
+
+	for _, node := range nodes {
+		regular := make(map[int]bool)
+		timeout := time.After(10 * time.Second)
+		for len(regular) < shards {
+			select {
+			case c := <-node.ConfigChanges():
+				if c.Shard < 0 || c.Shard >= shards {
+					t.Fatalf("node %v: %v tagged shard %d", node.ID(), c, c.Shard)
+				}
+				if !c.Transitional && len(c.Members) == len(nodes) {
+					regular[c.Shard] = true
+				}
+			case <-timeout:
+				t.Fatalf("node %v: full regular configurations by shard: %v", node.ID(), regular)
+			}
+		}
+	}
+
+	// Keyed traffic on every shard feeds each shard's monitors.
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = nodes[0].SendKeyed([]byte(fmt.Sprintf("key-%d", i%16)), []byte("load"))
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	for _, node := range nodes {
+		go func(node *totem.Node) {
+			for range node.Deliveries() {
+			}
+		}(node)
+	}
+
+	hub.KillNetwork(1)
+	for _, node := range nodes {
+		onePerShard(t, node.ID(), shards, node.Faults(), func(f totem.FaultReport) (int, int) { return f.Shard, f.Network })
+	}
+	hub.ReviveNetwork(1)
+	for _, node := range nodes {
+		onePerShard(t, node.ID(), shards, node.FaultsCleared(), func(c totem.ClearReport) (int, int) { return c.Shard, c.Network })
+	}
+}
+
+// onePerShard reads ch until every shard has reported network 1, failing
+// on a report for another network, an out-of-range shard, or a second
+// report from the same shard (checked for a further 200ms).
+func onePerShard[T any](t *testing.T, id totem.NodeID, shards int, ch <-chan T, tag func(T) (shard, network int)) {
+	t.Helper()
+	seen := make(map[int]bool)
+	timeout := time.After(30 * time.Second)
+	for len(seen) < shards {
+		select {
+		case ev := <-ch:
+			s, net := tag(ev)
+			if s < 0 || s >= shards || seen[s] || net != 1 {
+				t.Fatalf("node %v: unexpected %+v (already seen shards %v)", id, ev, seen)
+			}
+			seen[s] = true
+		case <-timeout:
+			t.Fatalf("node %v: reports only from shards %v", id, seen)
+		}
+	}
+	select {
+	case ev := <-ch:
+		t.Fatalf("node %v: report after every shard's first: %+v", id, ev)
+	case <-time.After(200 * time.Millisecond):
 	}
 }

@@ -254,13 +254,12 @@ type Node struct {
 	mux  *transport.ShardMux  // nil on the single-ring path
 	ring *trace.Ring          // non-nil only when TraceCapacity created it
 
-	// Merged event streams, nil on the single-ring path (the accessors
-	// then hand out shard 0's runtime channels directly, so the M=1 node
-	// is the pre-sharding node, not an emulation of it).
-	deliveries chan Delivery
-	faults     chan FaultReport
-	cleared    chan ClearReport
-	configs    chan ConfigChange
+	// out holds the node's event streams. Every shard's runtime pushes
+	// onto them directly, tagged with its shard, so M=1 and M>1 share one
+	// path; with CrossOrder the runtimes' deliveries go to mergeIn and
+	// mergeLoop pushes the merged sequence onto out.Deliveries.
+	out     transport.Outputs
+	mergeIn *transport.Queue[Delivery]
 
 	clock        *shard.Clock  // CrossOrder Lamport clock
 	mergePending atomic.Int64  // CrossOrder hold-back depth gauge
@@ -277,11 +276,6 @@ type Node struct {
 	mu     sync.Mutex
 	closed bool
 }
-
-// mergedDepth buffers the fan-in channels; the per-shard runtimes queue
-// without bound behind them, so the ring never stalls on a slow consumer
-// either way.
-const mergedDepth = 1024
 
 // NewNode builds and starts a node on the given transport. The node
 // immediately begins forming or joining its ring (each of its rings, with
@@ -368,26 +362,39 @@ func NewNode(cfg Config, tr Transport) (*Node, error) {
 		n.ring = trace.NewRing(opts.TraceCapacity)
 		tracer = n.ring
 	}
+	tap := opts.DeliveryTap
+	n.out = transport.NewOutputs()
+	rtOut := n.out
+	if n.crossOrder {
+		n.mergeIn = transport.NewQueue[Delivery]()
+		rtOut.Deliveries = n.mergeIn
+		if tap != nil {
+			tap = unwrapTap(tap)
+		}
+	}
 	for i, port := range ports {
 		st, err := stack.New(scfg)
 		if err != nil {
 			panic(err) // unreachable: scfg was validated above
 		}
-		rt := transport.NewRuntime(st, port)
+		rt := transport.NewRuntime(st, port, i, rtOut)
 		// The tracer observes shard 0 only: trace rings are written from
 		// one protocol goroutine, and shard 0 is the ring that exists at
 		// every shard count.
 		if tracer != nil && i == 0 {
 			rt.SetTracer(tracer)
 		}
-		if tap := opts.DeliveryTap; tap != nil {
-			rt.SetDeliveryTap(n.wrapTap(tap, i))
+		if tap != nil {
+			rt.SetDeliveryTap(tap)
 		}
 		n.rts = append(n.rts, rt)
 		n.mets = append(n.mets, st.Metrics())
+		// Bulk transfers run on shard 0 only, so only its signals count.
+		rtOut.Bulk = nil
 	}
-	if shards > 1 {
-		n.startFanIn(opts)
+	n.out.RegisterMetrics(n.mets[0])
+	if n.crossOrder {
+		n.startCrossOrder(opts)
 	}
 	for _, rt := range n.rts {
 		rt.Start()
@@ -396,73 +403,25 @@ func NewNode(cfg Config, tr Transport) (*Node, error) {
 	return n, nil
 }
 
-// wrapTap adapts a user DeliveryTap to shard i: it tags the shard and, in
-// CrossOrder mode, strips the Lamport envelope and swallows markers.
-func (n *Node) wrapTap(tap func(Delivery), i int) func(Delivery) {
+// unwrapTap adapts a user DeliveryTap to CrossOrder mode: it strips the
+// Lamport envelope and swallows markers and floor announcements.
+func unwrapTap(tap func(Delivery)) func(Delivery) {
 	return func(d Delivery) {
-		d.Shard = i
-		if n.crossOrder {
-			kind, _, body, err := shard.Unwrap(d.Payload)
-			if err != nil || kind != shard.KindApp {
-				return
-			}
-			d.Payload = body
+		kind, _, body, err := shard.Unwrap(d.Payload)
+		if err != nil || kind != shard.KindApp {
+			return
 		}
+		d.Payload = body
 		tap(d)
 	}
 }
 
-// startFanIn wires the merged event streams of a multi-shard node: plain
-// per-shard forwarders for faults, clears and configs, and either plain
-// forwarders (tagging Delivery.Shard) or the deterministic CrossOrder
-// merge for deliveries.
-func (n *Node) startFanIn(opts Options) {
-	n.deliveries = make(chan Delivery, mergedDepth)
-	n.faults = make(chan FaultReport, mergedDepth)
-	n.cleared = make(chan ClearReport, mergedDepth)
-	n.configs = make(chan ConfigChange, mergedDepth)
-
-	srcF := make([]<-chan FaultReport, n.shards)
-	srcC := make([]<-chan ClearReport, n.shards)
-	srcG := make([]<-chan ConfigChange, n.shards)
-	for i, rt := range n.rts {
-		srcF[i] = rt.Faults()
-		srcC[i] = rt.Cleared()
-		srcG[i] = rt.Configs()
-	}
-	fanIn(srcF, n.faults, func(f *FaultReport, i int) { f.Shard = i })
-	fanIn(srcC, n.cleared, func(c *ClearReport, i int) { c.Shard = i })
-	fanIn(srcG, n.configs, func(c *ConfigChange, i int) { c.Shard = i })
-
-	if !n.crossOrder {
-		srcD := make([]<-chan Delivery, n.shards)
-		for i, rt := range n.rts {
-			srcD[i] = rt.Deliveries()
-		}
-		fanIn(srcD, n.deliveries, func(d *Delivery, i int) { d.Shard = i })
-		return
-	}
-
+// startCrossOrder starts the deterministic merge of the shards'
+// delivery streams and the marker ticker that keeps it moving.
+func (n *Node) startCrossOrder(opts Options) {
 	n.clock = &shard.Clock{}
 	n.mets[0].RegisterFunc("shard.merge_pending", n.mergePending.Load)
-
-	// Feeders collapse the M per-shard streams into one channel the merge
-	// goroutine consumes; the runtimes' unbounded queues sit behind these
-	// sends, so the rings never block on the merge.
-	in := make(chan Delivery, mergedDepth)
-	var wg sync.WaitGroup
-	for i, rt := range n.rts {
-		wg.Add(1)
-		go func(i int, src <-chan Delivery) {
-			defer wg.Done()
-			for d := range src {
-				d.Shard = i
-				in <- d
-			}
-		}(i, rt.Deliveries())
-	}
-	go func() { wg.Wait(); close(in) }()
-	go n.mergeLoop(in)
+	go n.mergeLoop()
 
 	// The marker ticker keeps idle shards' merge cuts advancing. Every
 	// node ticks: markers are 9-byte messages and redundant markers are
@@ -491,16 +450,15 @@ func (n *Node) startFanIn(opts Options) {
 
 // mergeLoop runs the deterministic cross-shard merge: it folds each
 // shard's (totally ordered) delivery stream into the Lamport merge and
-// releases the global sequence on the merged channel. Because the merge
-// order is a pure function of the per-shard streams, every node's loop
-// emits the identical sequence. At the first delivery of each regular
+// releases the global sequence onto the node's delivery queue. Because
+// the merge order is a pure function of the per-shard streams, every
+// node's loop emits the identical sequence. At the first delivery of each regular
 // configuration on a shard it announces its cut there, for the merge's
 // floor agreement (shard.Merge.Begin).
-func (n *Node) mergeLoop(in <-chan Delivery) {
-	defer close(n.deliveries)
+func (n *Node) mergeLoop() {
 	m := shard.NewMerge(n.shards)
 	owed := make([][]byte, n.shards) // floor announcements not yet queued
-	for d := range in {
+	for d := range n.mergeIn.Out() {
 		kind, ts, body, err := shard.Unwrap(d.Payload)
 		if err != nil {
 			// Not a CrossOrder envelope: a peer running plain sharding is
@@ -537,34 +495,10 @@ func (n *Node) mergeLoop(in <-chan Delivery) {
 			if !ok {
 				break
 			}
-			n.deliveries <- it.Payload.(Delivery)
+			n.out.Deliveries.Push(it.Payload.(Delivery))
 		}
 		n.mergePending.Store(int64(m.Pending()))
 	}
-}
-
-// fanIn forwards every source channel into out, tagging each value with
-// its source index, and closes out once all sources close.
-//
-// Backpressure contract (pinned by TestBlockedDeliveriesReaderShedsNothing):
-// when a consumer stops draining out, the forwarders block on the send —
-// nothing is ever shed. The runtimes' unbounded delivery queues sit
-// behind the source channels, so a stalled consumer buffers deliveries
-// in memory without ever stalling the ring itself; every queued message
-// is delivered, in order, once the consumer resumes.
-func fanIn[T any](srcs []<-chan T, out chan<- T, tag func(*T, int)) {
-	var wg sync.WaitGroup
-	for i, src := range srcs {
-		wg.Add(1)
-		go func(i int, src <-chan T) {
-			defer wg.Done()
-			for v := range src {
-				tag(&v, i)
-				out <- v
-			}
-		}(i, src)
-	}
-	go func() { wg.Wait(); close(out) }()
 }
 
 // ID returns this node's identifier.
@@ -631,46 +565,26 @@ func (n *Node) SendKeyed(key, payload []byte) error {
 // each message's ring): per-shard subsequences are identical on every
 // node, and with CrossOrder the entire merged sequence is. The channel
 // closes on Close.
-func (n *Node) Deliveries() <-chan Delivery {
-	if n.deliveries != nil {
-		return n.deliveries
-	}
-	return n.rts[0].Deliveries()
-}
+func (n *Node) Deliveries() <-chan Delivery { return n.out.Deliveries.Out() }
 
 // Faults returns the network fault-report stream (paper §3: the alarm an
 // administrator reacts to while the system keeps running). With
 // Shards > 1 each shard's monitors report independently (FaultReport.Shard);
 // a physical network fault typically surfaces once per shard.
-func (n *Node) Faults() <-chan FaultReport {
-	if n.faults != nil {
-		return n.faults
-	}
-	return n.rts[0].Faults()
-}
+func (n *Node) Faults() <-chan FaultReport { return n.out.Faults.Out() }
 
 // FaultsCleared returns the stream of automatic readmissions: one
 // ClearReport per network the recovery monitor returned to service after
 // it served out its probation. Empty when DisableAutoReadmit is set. The
 // channel closes on Close.
-func (n *Node) FaultsCleared() <-chan ClearReport {
-	if n.cleared != nil {
-		return n.cleared
-	}
-	return n.rts[0].Cleared()
-}
+func (n *Node) FaultsCleared() <-chan ClearReport { return n.out.Cleared.Out() }
 
 // ConfigChanges returns the membership change stream. Per extended
 // virtual synchrony, each regular configuration is preceded by a
 // transitional configuration scoping the messages delivered across the
 // membership change. With Shards > 1 every shard's membership evolves
 // independently (ConfigChange.Shard). The channel closes on Close.
-func (n *Node) ConfigChanges() <-chan ConfigChange {
-	if n.configs != nil {
-		return n.configs
-	}
-	return n.rts[0].Configs()
-}
+func (n *Node) ConfigChanges() <-chan ConfigChange { return n.out.Configs.Out() }
 
 // Ring returns the current configuration's identifier and members (shard
 // 0's on a multi-shard node; see RingOf). It reports the zero RingID
@@ -809,9 +723,10 @@ func (n *Node) MetricsOf(s int) *metrics.Registry { return n.mets[s] }
 // On a multi-shard node the ring traces shard 0.
 func (n *Node) Trace() *trace.Ring { return n.ring }
 
-// Close shuts the node down: every shard's protocol loop stops and the
-// event channels close once their buffered events are consumed or
-// dropped. The transport is not closed (the caller owns it). Idempotent.
+// Close shuts the node down: every shard's protocol loop stops, the event
+// channels close and events nobody consumed are dropped; every goroutine
+// the node started then exits, whether or not anyone still reads its
+// streams. The transport is not closed (the caller owns it). Idempotent.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -826,6 +741,10 @@ func (n *Node) Close() error {
 	for _, rt := range n.rts {
 		rt.Close()
 	}
+	if n.mergeIn != nil {
+		n.mergeIn.Close()
+	}
+	n.out.Close()
 	if n.mux != nil {
 		n.mux.Close()
 	}
