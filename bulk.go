@@ -127,19 +127,12 @@ func (t *BulkTransfer) complete(err error) {
 // is delivered exactly once per member that stays.
 //
 // The payload is owned by the node until Done closes. On a multi-shard
-// node the transfer runs on shard 0. SendBulk is incompatible with
-// CrossOrder (the merge envelope does not wrap the bulk lane) and returns
-// ErrConfig there, as it does for an empty payload or one exceeding the
-// receiver-side Options.SRP.MaxBulkTransfer limit.
+// node the transfer runs on shard 0. SendBulk returns ErrConfig for an
+// empty payload or one exceeding the receiver-side
+// Options.SRP.MaxBulkTransfer limit.
 func (n *Node) SendBulk(payload []byte) (*BulkTransfer, error) {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
+	if n.isClosed() {
 		return nil, ErrClosed
-	}
-	if n.crossOrder {
-		return nil, fmt.Errorf("%w: SendBulk is incompatible with CrossOrder", ErrConfig)
 	}
 	if len(payload) == 0 {
 		return nil, fmt.Errorf("%w: empty bulk payload", ErrConfig)

@@ -121,7 +121,7 @@ func TestSendBulkDoesNotStarveInteractiveSends(t *testing.T) {
 }
 
 // TestSendBulkValidation covers the early rejections: empty payloads,
-// payloads over the receiver-side cap, CrossOrder nodes, and closed nodes.
+// payloads over the receiver-side cap, and closed nodes.
 func TestSendBulkValidation(t *testing.T) {
 	hub := totem.NewMemHub(1)
 	tr, err := hub.Join(1)
@@ -145,23 +145,6 @@ func TestSendBulkValidation(t *testing.T) {
 	node.Close()
 	if _, err := node.SendBulk([]byte("x")); !errors.Is(err, totem.ErrClosed) {
 		t.Fatalf("closed node: err=%v, want ErrClosed", err)
-	}
-
-	hub2 := totem.NewMemHub(1)
-	tr2, err := hub2.Join(2)
-	if err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	xnode, err := totem.NewNode(totem.Config{
-		ID: 2, Networks: 1, Replication: totem.NoReplication,
-		Shards: 2, CrossOrder: true,
-	}, tr2)
-	if err != nil {
-		t.Fatalf("NewNode: %v", err)
-	}
-	defer xnode.Close()
-	if _, err := xnode.SendBulk([]byte("x")); !errors.Is(err, totem.ErrConfig) {
-		t.Fatalf("CrossOrder node: err=%v, want ErrConfig", err)
 	}
 }
 

@@ -10,12 +10,9 @@
 //	totembench -figure sawtooth # packing peaks at 700/1400 B
 //	totembench -figure ap       # active-passive (3 networks, K=2)
 //	totembench -figure all
-//	totembench -json            # hot-path allocation budget + wall-clock
-//	                            # figure data, written to BENCH_hotpath.json
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -27,38 +24,11 @@ import (
 func main() {
 	figure := flag.String("figure", "all", "which figure to regenerate: 6, 7, 8, 9, headline, sawtooth, ap, ablations, all")
 	csvDir := flag.String("csv", "", "also write the sweep data as CSV files into this directory")
-	jsonOut := flag.Bool("json", false, "run the hot-path benchmark suite and write it to -out (skips -figure)")
-	outPath := flag.String("out", "BENCH_hotpath.json", "report file for -json")
 	flag.Parse()
-	var err error
-	if *jsonOut {
-		err = writeHotPath(*outPath)
-	} else {
-		err = run(*figure, *csvDir)
-	}
-	if err != nil {
+	if err := run(*figure, *csvDir); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-}
-
-// writeHotPath measures the allocation budget and the wall-clock Figure 6
-// points and writes the report to path.
-func writeHotPath(path string) error {
-	rep, err := bench.HotPath()
-	if err != nil {
-		return err
-	}
-	bench.PrintHotPath(os.Stdout, rep)
-	out, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := errors.Join(bench.WriteHotPathJSON(out, rep), out.Close()); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
 }
 
 // writeCSV saves one figure's series when -csv is set.

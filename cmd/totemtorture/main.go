@@ -35,7 +35,6 @@
 //
 //	totemtorture -shards 4 -seeds 25             # sim: 25 seeds x 4 rings
 //	totemtorture -shards 4 -live -seeds 3        # live multi-ring torture
-//	totemtorture -shards 3 -live -seeds 2 -cross-order
 //
 // Exit codes: 0 clean (or the expected violation fired), 1 violation (or
 // an expected violation did not fire), 2 usage or execution error.
@@ -69,8 +68,7 @@ func main() {
 		traceN   = flag.Int("trace", 0, "print the last N trace events of a failing (or -v single) run")
 		verbose  = flag.Bool("v", false, "per-run progress output")
 
-		shards     = flag.Int("shards", 0, "multi-ring mode: with M>1 the simulator runs M derived-seed programs per seed (one per independent ring); -live runs the live multi-ring shard torture instead")
-		crossOrder = flag.Bool("cross-order", false, "shards live mode: also run the deterministic cross-shard merge and check merged agreement")
+		shards = flag.Int("shards", 0, "multi-ring mode: with M>1 the simulator runs M derived-seed programs per seed (one per independent ring); -live runs the live multi-ring shard torture instead")
 
 		liveMode  = flag.Bool("live", false, "run programs on the live goroutine/socket harness instead of the simulator")
 		diffMode  = flag.Bool("diff", false, "differential mode: replay mild programs on both sim and live and compare")
@@ -88,8 +86,8 @@ func main() {
 		corrupt: *corrupt,
 		shrink:  *shrink, repro: *repro, replay: *replay,
 		chaos: *chaos, expect: *expect, traceN: *traceN, verbose: *verbose,
-		shards: *shards, crossOrder: *crossOrder,
-		live: *liveMode, diff: *diffMode, transport: *transport, wirepath: *wirepath,
+		shards: *shards,
+		live:   *liveMode, diff: *diffMode, transport: *transport, wirepath: *wirepath,
 		timescale: *timescale, skew: *skew, workers: *workers, budget: *budget,
 	})
 	if err != nil {
@@ -113,8 +111,7 @@ type config struct {
 	traceN   int
 	verbose  bool
 
-	shards     int
-	crossOrder bool
+	shards int
 
 	live      bool
 	diff      bool
@@ -265,12 +262,11 @@ func shardLiveBatch(cfg config, base int64, n int) (int, error) {
 	runs := 0
 	for s := base; s < base+int64(n); s++ {
 		res, err := live.ShardTorture(live.ShardTortureOptions{
-			Shards:     cfg.shards,
-			Style:      style,
-			Transport:  cfg.transport,
-			WirePath:   cfg.wirepath,
-			Seed:       s,
-			CrossOrder: cfg.crossOrder,
+			Shards:    cfg.shards,
+			Style:     style,
+			Transport: cfg.transport,
+			WirePath:  cfg.wirepath,
+			Seed:      s,
 		})
 		if err != nil {
 			return 2, err

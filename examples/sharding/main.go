@@ -1,9 +1,8 @@
 // Sharding: one Node runs four independent rings over the same two
 // redundant networks. Keys route to shards (FNV-1a by default), each
 // shard delivers its own total order, and faulting or saturating one
-// shard never stalls the others. A second cluster turns on CrossOrder
-// and shows every node deriving the identical merged cross-shard
-// sequence with no extra agreement round.
+// shard never stalls the others. The interleaving of different shards is
+// not ordered: a consumer that needs one total order runs a single ring.
 //
 //	go run ./examples/sharding
 package main
@@ -12,7 +11,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"reflect"
 	"time"
 
 	totem "github.com/totem-rrp/totem"
@@ -32,7 +30,7 @@ func main() {
 }
 
 func run() error {
-	nodes, err := boot(false)
+	nodes, err := boot()
 	if err != nil {
 		return err
 	}
@@ -74,46 +72,12 @@ func run() error {
 		fmt.Printf("shard %d: ring %v members %v delivered %d\n", s, ring, ids, delivered)
 	}
 
-	closeAll(nodes)
-
-	// Part two: the same cluster with the deterministic cross-shard
-	// merge — one global total order on top of the sharded throughput.
-	nodes, err = boot(true)
-	if err != nil {
-		return err
-	}
-	defer closeAll(nodes)
-
-	for round := 0; round < 3; round++ {
-		for _, key := range keys {
-			msg := fmt.Sprintf("%s merged %d", key, round)
-			if err := nodes[round%members].SendKeyed([]byte(key), []byte(msg)); err != nil {
-				return err
-			}
-		}
-	}
-	merged := make([][]string, members)
-	for i, n := range nodes {
-		for len(merged[i]) < len(keys)*3 {
-			d := <-n.Deliveries()
-			merged[i] = append(merged[i], string(d.Payload))
-		}
-	}
-	for i := 1; i < members; i++ {
-		if !reflect.DeepEqual(merged[0], merged[i]) {
-			return fmt.Errorf("nodes disagree on the merged order")
-		}
-	}
-	fmt.Println("cross-order: all nodes derived the identical merged sequence:")
-	for _, m := range merged[0] {
-		fmt.Printf("  %s\n", m)
-	}
 	return nil
 }
 
 // boot forms a members-node cluster with `shards` rings and waits until
 // every shard of every node is operational with full membership.
-func boot(crossOrder bool) ([]*totem.Node, error) {
+func boot() ([]*totem.Node, error) {
 	hub := totem.NewMemHub(networks)
 	nodes := make([]*totem.Node, 0, members)
 	for i := 1; i <= members; i++ {
@@ -126,7 +90,6 @@ func boot(crossOrder bool) ([]*totem.Node, error) {
 			Networks:    networks,
 			Replication: totem.Passive,
 			Shards:      shards,
-			CrossOrder:  crossOrder,
 		}, tr)
 		if err != nil {
 			return nil, err

@@ -39,9 +39,6 @@ type ShardTortureOptions struct {
 	Window, Heal time.Duration
 	// LoadInterval is the per-node keyed-send period (default 2ms).
 	LoadInterval time.Duration
-	// CrossOrder additionally runs the deterministic cross-shard merge
-	// and checks the merged sequences agree across nodes.
-	CrossOrder bool
 	// Netem is the baseline impairment; nil applies DefaultNetemParams.
 	Netem *NetemParams
 	// SettleTimeout bounds the post-run convergence wait (default 5s).
@@ -75,10 +72,8 @@ type shardRec struct {
 type shardTortureState struct {
 	shards int
 	mu     sync.Mutex
-	// seqs[node][shard] is the delivered record sequence; merged[node] is
-	// the full cross-shard order as the node observed it.
+	// seqs[node][shard] is the delivered record sequence.
 	seqs   map[proto.NodeID][][]shardRec
-	merged map[proto.NodeID][]shardRec
 	counts map[proto.NodeID][]uint64
 }
 
@@ -86,7 +81,6 @@ func newShardTortureState(shards int) *shardTortureState {
 	return &shardTortureState{
 		shards: shards,
 		seqs:   make(map[proto.NodeID][][]shardRec),
-		merged: make(map[proto.NodeID][]shardRec),
 		counts: make(map[proto.NodeID][]uint64),
 	}
 }
@@ -98,7 +92,6 @@ func (st *shardTortureState) record(node proto.NodeID, r shardRec) {
 		st.counts[node] = make([]uint64, st.shards)
 	}
 	st.seqs[node][r.shard] = append(st.seqs[node][r.shard], r)
-	st.merged[node] = append(st.merged[node], r)
 	st.counts[node][r.shard]++
 	st.mu.Unlock()
 }
@@ -135,9 +128,7 @@ func (st *shardTortureState) perNodeCounts() map[proto.NodeID][]uint64 {
 //   - recovery: after the final heal, every shard delivers fresh traffic
 //     on every node;
 //   - per-shard safety: no duplicate deliveries, per-sender FIFO, and
-//     pairwise order agreement on the messages two nodes share;
-//   - with CrossOrder: the same pairwise agreement over each node's full
-//     merged cross-shard sequence.
+//     pairwise order agreement on the messages two nodes share.
 func ShardTorture(opt ShardTortureOptions) (*ShardTortureResult, error) {
 	if opt.Nodes == 0 {
 		opt.Nodes = 4
@@ -215,11 +206,7 @@ func ShardTorture(opt ShardTortureOptions) (*ShardTortureResult, error) {
 			Networks:    opt.Networks,
 			Replication: style,
 			Shards:      opt.Shards,
-			CrossOrder:  opt.CrossOrder,
-			Tune: func(o *totem.Options) {
-				liveTune(o)
-				o.MarkerInterval = 5 * time.Millisecond
-			},
+			Tune:        liveTune,
 		}, tr)
 		if err != nil {
 			return nil, fmt.Errorf("live: node %v: %w", id, err)
@@ -355,7 +342,7 @@ func ShardTorture(opt ShardTortureOptions) (*ShardTortureResult, error) {
 	}
 	recWG.Wait()
 
-	st.check(order, violate, opt.CrossOrder)
+	st.check(order, violate)
 
 	res.Delivered = delivered.Load()
 	res.PerShardDelivered = st.snapshotCounts()
@@ -376,7 +363,7 @@ func baseCount(m map[proto.NodeID][]uint64, id proto.NodeID, s int) uint64 {
 
 // check runs the end-of-run safety invariants over the recorded
 // sequences.
-func (st *shardTortureState) check(order []proto.NodeID, violate func(string, ...interface{}), crossOrder bool) {
+func (st *shardTortureState) check(order []proto.NodeID, violate func(string, ...interface{})) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 
@@ -402,9 +389,8 @@ func (st *shardTortureState) check(order []proto.NodeID, violate func(string, ..
 		}
 	}
 
-	// Pairwise order agreement: restricted to the messages both nodes
-	// delivered, the relative order must match — per shard always, and
-	// over the merged sequence under CrossOrder.
+	// Pairwise order agreement per shard: restricted to the messages both
+	// nodes delivered, the relative order must match.
 	agree := func(what string, a, b []shardRec, na, nb proto.NodeID) {
 		pos := make(map[string]int, len(b))
 		for i, r := range b {
@@ -436,9 +422,6 @@ func (st *shardTortureState) check(order []proto.NodeID, violate func(string, ..
 					sb = st.seqs[b][s]
 				}
 				agree(fmt.Sprintf("shard %d", s), sa, sb, a, b)
-			}
-			if crossOrder {
-				agree("cross-order merge", st.merged[a], st.merged[b], a, b)
 			}
 		}
 	}

@@ -37,32 +37,6 @@ func TestShardTortureMem(t *testing.T) {
 	}
 }
 
-// TestShardTortureCrossOrder runs the same program with the merge on.
-func TestShardTortureCrossOrder(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live shard torture in -short mode")
-	}
-	res, err := ShardTorture(ShardTortureOptions{
-		Nodes:        3,
-		Networks:     2,
-		Shards:       3,
-		Seed:         23,
-		FaultWindows: 2,
-		Window:       250 * time.Millisecond,
-		Heal:         150 * time.Millisecond,
-		CrossOrder:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range res.Violations {
-		t.Errorf("violation: %s", v)
-	}
-	if res.Delivered == 0 {
-		t.Fatal("no deliveries")
-	}
-}
-
 // countingTransport counts sends and discards them.
 type countingTransport struct {
 	networks int

@@ -19,11 +19,11 @@ import (
 )
 
 // The logd server: one ring member's front door. Appends are wrapped in
-// an envelope, totally ordered through the ring (SendKeyed by client id,
-// or the bulk lane for large records on a single-ring node), and applied
-// by a single loop that consumes the Deliveries stream, assigns offsets,
-// group-commits to the Store, and releases the waiting HTTP handlers —
-// so an acknowledged append is both totally ordered and fsynced.
+// an envelope, totally ordered through the ring (Send, or the bulk lane
+// for large records), and applied by a single loop that consumes the
+// Deliveries stream, assigns offsets, group-commits to the Store, and
+// releases the waiting HTTP handlers — so an acknowledged append is both
+// totally ordered and fsynced.
 //
 // A restarted member cannot learn the offsets of records ordered while
 // it was down from the ring alone, so before going live it runs the
@@ -198,11 +198,11 @@ func NewServer(node *totem.Node, store *Store, opt ServerOptions) (*Server, erro
 	if node == nil || store == nil {
 		return nil, errors.New("logd: NewServer requires a node and a store")
 	}
-	if node.Shards() > 1 && !node.CrossOrdered() {
-		// Offsets are assigned by apply order of the Deliveries stream;
-		// without the cross-shard merge only per-shard subsequences agree
-		// across members and replicas would diverge.
-		return nil, errors.New("logd: Shards > 1 requires Config.CrossOrder")
+	if node.Shards() != 1 {
+		// Offsets are assigned by apply order of the Deliveries stream,
+		// and only one ring's order agrees across members: with more
+		// shards their interleaving differs and replicas would diverge.
+		return nil, errors.New("logd: NewServer requires a node with Shards == 1")
 	}
 	opt = opt.withDefaults()
 	if opt.NodeID == "" {
@@ -740,7 +740,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if !s.node.OperationalOf(s.node.ShardOf([]byte(client))) {
+	if !s.node.Operational() {
 		writeErr(w, http.StatusServiceUnavailable, ErrKindReforming, "ring is reforming", true)
 		return
 	}
@@ -768,7 +768,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	env := AppendEnvelope(nil, KindData, client, seq, payload)
-	if err := s.order(client, env); err != nil {
+	if err := s.order(env); err != nil {
 		switch {
 		case errors.Is(err, totem.ErrBackpressure):
 			writeErr(w, http.StatusServiceUnavailable, ErrKindBackpressure, "send queue full", true)
@@ -800,9 +800,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 // order submits one envelope to the ring: the bulk lane for large
-// records on a single-ring node, SendKeyed otherwise.
-func (s *Server) order(client string, env []byte) error {
-	if s.opt.BulkThreshold > 0 && len(env) >= s.opt.BulkThreshold && s.node.Shards() == 1 {
+// records, Send otherwise.
+func (s *Server) order(env []byte) error {
+	if s.opt.BulkThreshold > 0 && len(env) >= s.opt.BulkThreshold {
 		if _, err := s.node.SendBulk(env); err == nil {
 			return nil
 		} else if errors.Is(err, totem.ErrClosed) {
@@ -811,7 +811,7 @@ func (s *Server) order(client string, env []byte) error {
 		// Bulk refused (config limits): fall through to the regular lane,
 		// which fragments arbitrarily large messages.
 	}
-	return s.node.SendKeyed([]byte(client), env)
+	return s.node.Send(env)
 }
 
 func (s *Server) handleRead(w http.ResponseWriter, r *http.Request) {

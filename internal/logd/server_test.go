@@ -220,7 +220,7 @@ func TestCatchingUpRefusal(t *testing.T) {
 	resp.Body.Close()
 }
 
-func TestServerRequiresCrossOrderForShards(t *testing.T) {
+func TestServerRequiresOneShard(t *testing.T) {
 	hub := totem.NewMemHub(2)
 	tr, err := hub.Join(1)
 	if err != nil {
@@ -237,6 +237,6 @@ func TestServerRequiresCrossOrderForShards(t *testing.T) {
 	}
 	defer store.Close()
 	if _, err := logd.NewServer(node, store, logd.ServerOptions{NodeID: "x"}); err == nil {
-		t.Fatal("NewServer must reject Shards > 1 without CrossOrder")
+		t.Fatal("NewServer must reject a node with Shards > 1")
 	}
 }

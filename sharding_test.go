@@ -17,14 +17,14 @@ import (
 // startShardedRing boots n nodes with M shards each on a fresh MemHub and
 // waits until every shard of every node is operational with full
 // membership.
-func startShardedRing(t *testing.T, n, networks, shards int, crossOrder bool) []*totem.Node {
+func startShardedRing(t *testing.T, n, networks, shards int) []*totem.Node {
 	t.Helper()
-	return startShardedRingOn(t, totem.NewMemHub(networks), n, shards, crossOrder, nil)
+	return startShardedRingOn(t, totem.NewMemHub(networks), n, shards, nil)
 }
 
 // startShardedRingOn is startShardedRing on the caller's hub; tune, when
 // non-nil, further adjusts every node's options.
-func startShardedRingOn(t *testing.T, hub *totem.MemHub, n, shards int, crossOrder bool, tune func(*totem.Options)) []*totem.Node {
+func startShardedRingOn(t *testing.T, hub *totem.MemHub, n, shards int, tune func(*totem.Options)) []*totem.Node {
 	t.Helper()
 	nodes := make([]*totem.Node, 0, n)
 	for i := 1; i <= n; i++ {
@@ -36,13 +36,7 @@ func startShardedRingOn(t *testing.T, hub *totem.MemHub, n, shards int, crossOrd
 			ID:          totem.NodeID(i),
 			Replication: totem.Passive,
 			Shards:      shards,
-			CrossOrder:  crossOrder,
-			Tune: func(o *totem.Options) {
-				o.MarkerInterval = 5 * time.Millisecond
-				if tune != nil {
-					tune(o)
-				}
-			},
+			Tune:        tune,
 		}, tr)
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
@@ -117,7 +111,7 @@ func TestShardedRingRoutesKeysAndOrdersPerShard(t *testing.T) {
 		shards   = 4
 		perNode  = 40
 	)
-	nodes := startShardedRing(t, numNodes, 2, shards, false)
+	nodes := startShardedRing(t, numNodes, 2, shards)
 
 	for i := 0; i < perNode; i++ {
 		for _, n := range nodes {
@@ -153,8 +147,8 @@ func TestShardedRingRoutesKeysAndOrdersPerShard(t *testing.T) {
 			}
 		}
 	}
-	// Per-shard subsequences are identical across nodes (cross-shard
-	// interleaving is free without CrossOrder).
+	// Per-shard subsequences are identical across nodes (the cross-shard
+	// interleaving is not ordered).
 	perShard := func(seq []delivRecord, s int) []delivRecord {
 		var out []delivRecord
 		for _, r := range seq {
@@ -177,61 +171,31 @@ func TestShardedRingRoutesKeysAndOrdersPerShard(t *testing.T) {
 	}
 }
 
-// TestCrossOrderIdenticalMergedSequence is the differential acceptance
-// test: with CrossOrder on, the entire merged cross-shard sequence is
-// identical on every node.
-func TestCrossOrderIdenticalMergedSequence(t *testing.T) {
-	const (
-		numNodes = 3
-		shards   = 3
-		perNode  = 30
-	)
-	nodes := startShardedRing(t, numNodes, 2, shards, true)
-
-	var sendWG sync.WaitGroup
-	for _, n := range nodes {
-		sendWG.Add(1)
-		go func(n *totem.Node) {
-			defer sendWG.Done()
-			for i := 0; i < perNode; i++ {
-				key := []byte(fmt.Sprintf("k%d", i))
-				for {
-					err := n.SendKeyed(key, []byte(fmt.Sprintf("%v/%d", n.ID(), i)))
-					if err == nil {
-						break
-					}
-					if errors.Is(err, totem.ErrBackpressure) {
-						time.Sleep(time.Millisecond)
-						continue
-					}
-					t.Errorf("SendKeyed: %v", err)
-					return
-				}
-			}
-		}(n)
+// TestDefaultShardFuncRangeAndStability pins the default key→shard
+// mapping: a changed hash would silently reroute keys between versions
+// of the binary. The pinned keys are the ones examples/sharding prints.
+func TestDefaultShardFuncRangeAndStability(t *testing.T) {
+	for key, want := range map[string]int{
+		"account:dave":  0,
+		"account:bob":   1,
+		"account:alice": 2,
+		"account:carol": 3,
+	} {
+		if got := totem.DefaultShardFunc([]byte(key), 4); got != want {
+			t.Errorf("DefaultShardFunc(%q, 4) = %d, want %d", key, got, want)
+		}
 	}
-	sendWG.Wait()
-
-	total := perNode * numNodes
-	seqs := make([][]delivRecord, numNodes)
-	var wg sync.WaitGroup
-	for i, n := range nodes {
-		wg.Add(1)
-		go func(i int, n *totem.Node) {
-			defer wg.Done()
-			seqs[i] = collect(t, n, total, 30*time.Second)
-		}(i, n)
+	counts := make([]int, 8)
+	for i := 0; i < 4096; i++ {
+		s := totem.DefaultShardFunc([]byte(fmt.Sprintf("key-%d", i)), 8)
+		if s < 0 || s >= 8 {
+			t.Fatalf("hash out of range: %d", s)
+		}
+		counts[s]++
 	}
-	wg.Wait()
-	for i := 1; i < numNodes; i++ {
-		if !reflect.DeepEqual(seqs[i], seqs[0]) {
-			for j := range seqs[0] {
-				if seqs[i][j] != seqs[0][j] {
-					t.Fatalf("merged order diverges at %d: node %v saw %+v, node %v saw %+v",
-						j, nodes[i].ID(), seqs[i][j], nodes[0].ID(), seqs[0][j])
-				}
-			}
-			t.Fatal("merged sequences differ")
+	for s, n := range counts {
+		if n < 4096/8/2 {
+			t.Fatalf("shard %d badly underloaded: %d/4096", s, n)
 		}
 	}
 }
@@ -411,7 +375,7 @@ func TestCloseWithBlockedDeliveriesReader(t *testing.T) {
 // ordered and queued must not deadlock or panic, and the node's channels
 // must still close.
 func TestCloseWithInFlightDeliveries(t *testing.T) {
-	nodes := startShardedRing(t, 2, 2, 3, false)
+	nodes := startShardedRing(t, 2, 2, 3)
 	for i := 0; i < 50; i++ {
 		key := []byte(fmt.Sprintf("k%d", i))
 		_ = nodes[0].SendKeyed(key, []byte("inflight"))
@@ -448,7 +412,7 @@ func TestCloseWithInFlightDeliveries(t *testing.T) {
 // per-shard order a never-blocked node saw.
 func TestBlockedDeliveriesReaderShedsNothing(t *testing.T) {
 	const total = 3000
-	nodes := startShardedRing(t, 2, 2, 2, false)
+	nodes := startShardedRing(t, 2, 2, 2)
 	sender, blocked := nodes[0], nodes[1]
 
 	// The sender's own reader drains freely and records the reference
@@ -519,16 +483,14 @@ func TestBlockedDeliveriesReaderShedsNothing(t *testing.T) {
 
 // TestCloseLeavesNoGoroutines: Close on a node whose streams nobody reads
 // stops every goroutine the node started, however many deliveries are
-// still queued, at every shard count and with the CrossOrder merge.
+// still queued, at every shard count.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		shards     int
-		crossOrder bool
+		name   string
+		shards int
 	}{
-		{"shards=1", 1, false},
-		{"shards=2", 2, false},
-		{"shards=2/cross-order", 2, true},
+		{"shards=1", 1},
+		{"shards=2", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
@@ -537,7 +499,7 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			n, err := totem.NewNode(totem.Config{ID: 1, Shards: tc.shards, CrossOrder: tc.crossOrder}, tr)
+			n, err := totem.NewNode(totem.Config{ID: 1, Shards: tc.shards}, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -594,7 +556,7 @@ func delivered(n *totem.Node) int64 {
 func TestEveryStreamCarriesItsShard(t *testing.T) {
 	const shards = 3
 	hub := totem.NewMemHub(2)
-	nodes := startShardedRingOn(t, hub, 2, shards, false, func(o *totem.Options) {
+	nodes := startShardedRingOn(t, hub, 2, shards, func(o *totem.Options) {
 		o.RRP.DecayInterval = 100 * time.Millisecond
 		o.RRP.ProbationWindows = 2
 	})

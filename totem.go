@@ -52,7 +52,6 @@ import (
 	"github.com/totem-rrp/totem/internal/core"
 	"github.com/totem-rrp/totem/internal/metrics"
 	"github.com/totem-rrp/totem/internal/proto"
-	"github.com/totem-rrp/totem/internal/shard"
 	"github.com/totem-rrp/totem/internal/srp"
 	"github.com/totem-rrp/totem/internal/stack"
 	"github.com/totem-rrp/totem/internal/trace"
@@ -151,21 +150,15 @@ type Config struct {
 	// ring, whose behaviour (and wire format) is exactly that of a node
 	// built before sharding existed. With M > 1 every shard is a full
 	// SRP+RRP instance with its own token, membership and monitors;
-	// SendKeyed routes each key to one shard, and Deliveries merges all
-	// shards (tagging Delivery.Shard). Aggregate throughput scales with M
-	// because the M token rotations proceed concurrently.
+	// SendKeyed routes each key to one shard, and Deliveries interleaves
+	// all shards (tagging Delivery.Shard) in no agreed order. Aggregate
+	// throughput scales with M because the M token rotations proceed
+	// concurrently.
 	Shards int
 	// ShardFunc maps SendKeyed keys to shards; nil selects the default
 	// FNV-1a hash. It must be pure and identical on every node, or two
 	// nodes would order the same key's messages on different rings.
 	ShardFunc ShardFunc
-	// CrossOrder, with Shards > 1, merges the per-shard streams into one
-	// deterministic global total order: every node's Deliveries channel
-	// then yields the exact same cross-shard sequence, at the cost of a
-	// Lamport-stamp envelope on every payload and a hold-back until every
-	// shard's merge cut advances (idle shards emit periodic markers, see
-	// Options.MarkerInterval). Ignored when Shards <= 1.
-	CrossOrder bool
 
 	// Tune, if non-nil, may adjust the low-level protocol parameters
 	// (timeouts, window sizes, monitor thresholds) before validation. With
@@ -178,8 +171,20 @@ type Config struct {
 type ShardFunc = func(key []byte, shards int) int
 
 // DefaultShardFunc is the FNV-1a key hash used when Config.ShardFunc is
-// nil.
-func DefaultShardFunc(key []byte, shards int) int { return shard.Hash(key, shards) }
+// nil: stable across processes and platforms, cheap, and well-spread for
+// short keys.
+func DefaultShardFunc(key []byte, shards int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= prime64
+	}
+	return int(h % uint64(shards))
+}
 
 // MaxShards is the largest permitted Config.Shards (the wire envelope
 // carries the shard index in one byte).
@@ -212,16 +217,8 @@ type Options struct {
 	// harness uses it to feed the torture invariant checker in exact
 	// protocol order; Deliveries still receives every message. With
 	// Shards > 1 the tap fires concurrently from M protocol goroutines
-	// (Delivery.Shard identifies the ring) in per-shard protocol order,
-	// not in the merged CrossOrder sequence; CrossOrder envelopes are
-	// stripped and markers skipped before the tap sees a delivery.
+	// (Delivery.Shard identifies the ring) in per-shard protocol order.
 	DeliveryTap func(Delivery)
-
-	// MarkerInterval is the period at which a CrossOrder node emits
-	// cut-advancement markers on every shard so idle shards do not stall
-	// the merge (default 25ms). Only meaningful with Config.CrossOrder
-	// and Shards > 1.
-	MarkerInterval time.Duration
 
 	// Bulk tunes the sender side of Node.SendBulk (submit workers). The
 	// receiver-side transfer size limit is SRP.MaxBulkTransfer and the
@@ -244,10 +241,9 @@ var (
 // one member of M independent rings sharing the same networks. All
 // methods are safe for concurrent use.
 type Node struct {
-	id         NodeID
-	shards     int
-	shardFn    ShardFunc
-	crossOrder bool
+	id      NodeID
+	shards  int
+	shardFn ShardFunc
 
 	rts  []*transport.Runtime // one per shard; index 0 always exists
 	mets []*metrics.Registry  // per-shard registries, parallel to rts
@@ -256,14 +252,8 @@ type Node struct {
 
 	// out holds the node's event streams. Every shard's runtime pushes
 	// onto them directly, tagged with its shard, so M=1 and M>1 share one
-	// path; with CrossOrder the runtimes' deliveries go to mergeIn and
-	// mergeLoop pushes the merged sequence onto out.Deliveries.
-	out     transport.Outputs
-	mergeIn *transport.Queue[Delivery]
-
-	clock        *shard.Clock  // CrossOrder Lamport clock
-	mergePending atomic.Int64  // CrossOrder hold-back depth gauge
-	markerStop   chan struct{} // stops the CrossOrder marker ticker
+	// path.
+	out transport.Outputs
 
 	// Bulk-lane sender state (see bulk.go). Transfers run on shard 0.
 	bulkOpts   BulkOptions
@@ -330,7 +320,6 @@ func NewNode(cfg Config, tr Transport) (*Node, error) {
 		id:         cfg.ID,
 		shards:     shards,
 		shardFn:    cfg.ShardFunc,
-		crossOrder: cfg.CrossOrder && shards > 1,
 		bulkOpts:   opts.Bulk.withDefaults(),
 		bulkMax:    opts.SRP.MaxBulkTransfer,
 		bulkClosed: make(chan struct{}),
@@ -362,16 +351,8 @@ func NewNode(cfg Config, tr Transport) (*Node, error) {
 		n.ring = trace.NewRing(opts.TraceCapacity)
 		tracer = n.ring
 	}
-	tap := opts.DeliveryTap
 	n.out = transport.NewOutputs()
 	rtOut := n.out
-	if n.crossOrder {
-		n.mergeIn = transport.NewQueue[Delivery]()
-		rtOut.Deliveries = n.mergeIn
-		if tap != nil {
-			tap = unwrapTap(tap)
-		}
-	}
 	for i, port := range ports {
 		st, err := stack.New(scfg)
 		if err != nil {
@@ -384,8 +365,8 @@ func NewNode(cfg Config, tr Transport) (*Node, error) {
 		if tracer != nil && i == 0 {
 			rt.SetTracer(tracer)
 		}
-		if tap != nil {
-			rt.SetDeliveryTap(tap)
+		if opts.DeliveryTap != nil {
+			rt.SetDeliveryTap(opts.DeliveryTap)
 		}
 		n.rts = append(n.rts, rt)
 		n.mets = append(n.mets, st.Metrics())
@@ -393,112 +374,11 @@ func NewNode(cfg Config, tr Transport) (*Node, error) {
 		rtOut.Bulk = nil
 	}
 	n.out.RegisterMetrics(n.mets[0])
-	if n.crossOrder {
-		n.startCrossOrder(opts)
-	}
 	for _, rt := range n.rts {
 		rt.Start()
 	}
 	go n.bulkDispatch()
 	return n, nil
-}
-
-// unwrapTap adapts a user DeliveryTap to CrossOrder mode: it strips the
-// Lamport envelope and swallows markers and floor announcements.
-func unwrapTap(tap func(Delivery)) func(Delivery) {
-	return func(d Delivery) {
-		kind, _, body, err := shard.Unwrap(d.Payload)
-		if err != nil || kind != shard.KindApp {
-			return
-		}
-		d.Payload = body
-		tap(d)
-	}
-}
-
-// startCrossOrder starts the deterministic merge of the shards'
-// delivery streams and the marker ticker that keeps it moving.
-func (n *Node) startCrossOrder(opts Options) {
-	n.clock = &shard.Clock{}
-	n.mets[0].RegisterFunc("shard.merge_pending", n.mergePending.Load)
-	go n.mergeLoop()
-
-	// The marker ticker keeps idle shards' merge cuts advancing. Every
-	// node ticks: markers are 9-byte messages and redundant markers are
-	// harmless, while depending on one designated node would stall the
-	// merge when that node crashes.
-	interval := opts.MarkerInterval
-	if interval <= 0 {
-		interval = 25 * time.Millisecond
-	}
-	n.markerStop = make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-n.markerStop:
-				return
-			case <-t.C:
-				for _, rt := range n.rts {
-					rt.Submit(shard.WrapMarker(n.clock.Tick()))
-				}
-			}
-		}
-	}()
-}
-
-// mergeLoop runs the deterministic cross-shard merge: it folds each
-// shard's (totally ordered) delivery stream into the Lamport merge and
-// releases the global sequence onto the node's delivery queue. Because
-// the merge order is a pure function of the per-shard streams, every
-// node's loop emits the identical sequence. At the first delivery of each regular
-// configuration on a shard it announces its cut there, for the merge's
-// floor agreement (shard.Merge.Begin).
-func (n *Node) mergeLoop() {
-	m := shard.NewMerge(n.shards)
-	owed := make([][]byte, n.shards) // floor announcements not yet queued
-	for d := range n.mergeIn.Out() {
-		kind, ts, body, err := shard.Unwrap(d.Payload)
-		if err != nil {
-			// Not a CrossOrder envelope: a peer running plain sharding is
-			// misconfigured; dropping beats corrupting the global order.
-			continue
-		}
-		n.clock.Observe(ts)
-		s := d.Shard
-		if !d.Transitional && d.Ring != m.Ring(s) {
-			ring, members := n.RingOf(s)
-			if ring != d.Ring {
-				members = nil // the shard has moved on: this round carries into the next
-			}
-			owed[s] = shard.WrapFloor(m.Begin(s, d.Ring, members), d.Ring)
-		}
-		switch kind {
-		case shard.KindFloor:
-			if ring, err := shard.FloorRing(body); err == nil {
-				m.Floor(s, ring, d.Sender, ts)
-			}
-		case shard.KindMarker:
-			m.Push(s, shard.Item{TS: ts, Marker: true})
-		default:
-			d.Payload = body
-			m.Push(s, shard.Item{TS: ts, Payload: d})
-		}
-		for i, env := range owed {
-			if env != nil && n.rts[i].Submit(env) {
-				owed[i] = nil
-			}
-		}
-		for {
-			it, _, ok := m.Pop()
-			if !ok {
-				break
-			}
-			n.out.Deliveries.Push(it.Payload.(Delivery))
-		}
-		n.mergePending.Store(int64(m.Pending()))
-	}
 }
 
 // ID returns this node's identifier.
@@ -507,12 +387,6 @@ func (n *Node) ID() NodeID { return n.id }
 // Shards returns M, the number of independent rings this node runs
 // (1 for a classic single-ring node).
 func (n *Node) Shards() int { return n.shards }
-
-// CrossOrdered reports whether the node merges its shards' streams into
-// one total order (Config.CrossOrder). State-machine replication over
-// Deliveries requires it whenever Shards > 1 — without the merge, only
-// per-shard subsequences agree across nodes.
-func (n *Node) CrossOrdered() bool { return n.crossOrder }
 
 // ShardOf returns the shard SendKeyed would route key to.
 func (n *Node) ShardOf(key []byte) int {
@@ -523,22 +397,26 @@ func (n *Node) ShardOf(key []byte) int {
 	return s
 }
 
-// submit queues payload on shard s, applying the CrossOrder envelope when
-// the merge is on.
+// submit queues payload on shard s.
 func (n *Node) submit(s int, payload []byte) error {
-	n.mu.Lock()
-	closed := n.closed
-	n.mu.Unlock()
-	if closed {
+	if n.isClosed() {
 		return ErrClosed
 	}
-	if n.crossOrder {
-		payload = shard.WrapApp(n.clock.Tick(), payload)
-	}
 	if !n.rts[s].Submit(payload) {
+		// Submit also fails once Close has stopped the runtime; a send
+		// that raced Close must not be told to retry.
+		if n.isClosed() {
+			return ErrClosed
+		}
 		return ErrBackpressure
 	}
 	return nil
+}
+
+func (n *Node) isClosed() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.closed
 }
 
 // Send queues payload for totally-ordered broadcast to the ring — shard 0
@@ -549,8 +427,8 @@ func (n *Node) Send(payload []byte) error { return n.submit(0, payload) }
 
 // SendKeyed queues payload on the shard ShardFunc assigns to key. All
 // messages sharing a key are totally ordered with respect to each other
-// on every node; messages on different shards are mutually unordered
-// unless CrossOrder is enabled. On a single-ring node SendKeyed is Send.
+// on every node; messages on different shards are mutually unordered.
+// On a single-ring node SendKeyed is Send.
 func (n *Node) SendKeyed(key, payload []byte) error {
 	s := n.shardFn(key, n.shards)
 	if s < 0 || s >= n.shards {
@@ -561,10 +439,10 @@ func (n *Node) SendKeyed(key, payload []byte) error {
 
 // Deliveries returns the totally-ordered message stream. On a single
 // ring, every node in a configuration observes the same sequence. With
-// Shards > 1 the channel merges all shards (Delivery.Shard identifies
-// each message's ring): per-shard subsequences are identical on every
-// node, and with CrossOrder the entire merged sequence is. The channel
-// closes on Close.
+// Shards > 1 the channel interleaves all shards (Delivery.Shard
+// identifies each message's ring): per-shard subsequences are identical
+// on every node, but the interleaving of different shards is not. The
+// channel closes on Close.
 func (n *Node) Deliveries() <-chan Delivery { return n.out.Deliveries.Out() }
 
 // Faults returns the network fault-report stream (paper §3: the alarm an
@@ -709,8 +587,7 @@ func (n *Node) Corrupt(sub string, seed int64) bool {
 // counters and gauges ("srp.*", "rrp.*", "udp.*", "runtime.*") in one
 // snapshot-able source of truth. Safe for concurrent reads while the node
 // runs. On a multi-shard node this is shard 0's registry, which also
-// carries the shared wire and mux counters ("shardmux.*") and the
-// CrossOrder hold-back gauge ("shard.merge_pending"); see MetricsOf.
+// carries the shared wire and mux counters ("shardmux.*"); see MetricsOf.
 func (n *Node) Metrics() *metrics.Registry { return n.mets[0] }
 
 // MetricsOf returns shard s's metric registry — each shard's protocol
@@ -735,14 +612,8 @@ func (n *Node) Close() error {
 	}
 	n.closed = true
 	n.mu.Unlock()
-	if n.markerStop != nil {
-		close(n.markerStop)
-	}
 	for _, rt := range n.rts {
 		rt.Close()
-	}
-	if n.mergeIn != nil {
-		n.mergeIn.Close()
 	}
 	n.out.Close()
 	if n.mux != nil {

@@ -3,7 +3,9 @@ package totem_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -262,6 +264,49 @@ func TestSendAfterCloseFails(t *testing.T) {
 	}
 	if err := n.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
+	}
+}
+
+// TestSendRacingCloseReportsErrClosed: a send that races Close is told
+// the node closed, never to retry. The senders together stay far below
+// MaxQueued, so no error here can be genuine backpressure.
+func TestSendRacingCloseReportsErrClosed(t *testing.T) {
+	const (
+		rounds  = 20
+		senders = 4
+		perSend = 100 // senders*perSend is well under MaxQueued (1024)
+	)
+	for r := 0; r < rounds; r++ {
+		hub := totem.NewMemHub(1)
+		tr, _ := hub.Join(1)
+		n, err := totem.NewNode(totem.Config{ID: 1}, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sent atomic.Int64
+		errs := make(chan error, senders)
+		for i := 0; i < senders; i++ {
+			go func() {
+				for j := 0; j < perSend; j++ {
+					if err := n.Send([]byte("x")); err != nil {
+						errs <- err
+						return
+					}
+					sent.Add(1)
+				}
+				errs <- nil
+			}()
+		}
+		for sent.Load() < senders*perSend/10 {
+			runtime.Gosched()
+		}
+		n.Close()
+		for i := 0; i < senders; i++ {
+			if err := <-errs; err != nil && !errors.Is(err, totem.ErrClosed) {
+				t.Fatalf("round %d: Send racing Close = %v, want nil or ErrClosed", r, err)
+			}
+		}
+		tr.Close()
 	}
 }
 
